@@ -9,7 +9,7 @@ use faust_audit::{export_records, HistoryFileError, Section, SessionHistory};
 use faust_crypto::SigScheme;
 use faust_store::testutil::clients;
 use faust_store::LogRecord;
-use faust_types::{ClientId, History, Value};
+use faust_types::{ClientId, History, Value, WireError};
 use faust_ustor::{Server, UstorServer};
 
 /// Drives an honest 2-client session against a fresh in-memory server,
@@ -186,6 +186,26 @@ fn record_region_flips_are_pinned_to_the_record() {
     // A healthy share of the file is record bytes; the sweep must have
     // exercised the per-record path many times.
     assert!(record_errors > 100, "only {record_errors} record errors");
+
+    // Retag the first record with the retired sharded-layout tag 2 and
+    // re-seal its checksum: the frame verifies, the payload does not
+    // decode, and the error is pinned to that record.
+    let manifest_len = u32::from_be_bytes(clean[12..16].try_into().unwrap()) as usize;
+    let first = 12 + 36 + manifest_len; // no base-state section
+    let len = u32::from_be_bytes(clean[first..first + 4].try_into().unwrap()) as usize;
+    let payload = first + 36..first + 36 + len;
+    let mut bytes = clean.clone();
+    bytes[payload.start + 8] = 2; // the record tag, after `seq: u64`
+    let digest = faust_crypto::sha256(&bytes[payload]);
+    bytes[first + 4..first + 36].copy_from_slice(digest.as_bytes());
+    assert_eq!(
+        SessionHistory::decode(&bytes),
+        Err(HistoryFileError::RecordCorrupt {
+            index: 0,
+            offset: first,
+            error: WireError::BadTag(2),
+        })
+    );
 }
 
 #[test]

@@ -8,8 +8,8 @@
 //! [`sys`]): non-blocking accept, per-connection incremental frame
 //! decoding via [`faust_types::frame::FrameDecoder`], and write-interest
 //! driven egress over the same coalescing buffers the TCP transport
-//! introduced. It implements [`ServerTransport`], so `ServerEngine`,
-//! group commit, and sharding run on top unchanged — the reactor *is*
+//! introduced. It implements [`ServerTransport`], so `ServerEngine`
+//! and group commit run on top unchanged — the reactor *is*
 //! the serve thread: all socket work happens inside `recv`/`send` calls
 //! on the engine loop's own thread.
 //!

@@ -96,7 +96,7 @@ impl WalHeader {
 /// One record recovered by a scan, with its byte span in the file.
 #[derive(Debug, Clone)]
 pub struct ScannedRecord {
-    /// Global sequence number.
+    /// Sequence number of the record.
     pub seq: u64,
     /// The decoded record.
     pub record: LogRecord,

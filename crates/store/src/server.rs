@@ -29,7 +29,7 @@ use std::time::{Duration, Instant};
 /// engine's duplicate-replay cache. Must cover the deepest SUBMIT
 /// pipeline a client can have in flight; matches the engine's own
 /// per-session cache depth.
-pub(crate) const RESUME_REPLIES_CAP: usize = 32;
+const RESUME_REPLIES_CAP: usize = 32;
 
 /// Replays one log record against `server` while capturing the replies
 /// it regenerates into per-client `rings` (bounded, oldest evicted),
@@ -37,7 +37,7 @@ pub(crate) const RESUME_REPLIES_CAP: usize = 32;
 /// deterministic, so the rebuilt reply is byte-identical to the one the
 /// pre-crash server sent — exactly what a restarted engine must re-issue
 /// when the client resends that SUBMIT.
-pub(crate) fn replay_capturing(
+fn replay_capturing(
     record: LogRecord,
     server: &mut dyn Server,
     rings: &mut [VecDeque<(Timestamp, ReplyMsg)>],
@@ -60,7 +60,7 @@ pub(crate) fn replay_capturing(
 /// hands the engine: the last submitted timestamp and last-written-value
 /// hash come from `MEM` (covering even snapshot-absorbed history), the
 /// replayable replies from the post-snapshot log window in `rings`.
-pub(crate) fn session_resume(
+fn session_resume(
     server: &UstorServer,
     rings: Vec<VecDeque<(Timestamp, ReplyMsg)>>,
 ) -> Vec<SessionResume> {
@@ -190,12 +190,12 @@ impl StoreConfig {
     /// Whether snapshots, rotations, and file creation fsync. Group
     /// commit is a *durable* policy — only the per-append fsync is
     /// amortized, never the rename barriers.
-    pub(crate) fn sync(&self) -> bool {
+    fn sync(&self) -> bool {
         !matches!(self.durability, Durability::Never)
     }
 
     /// Whether each individual append fsyncs before returning.
-    pub(crate) fn sync_each_append(&self) -> bool {
+    fn sync_each_append(&self) -> bool {
         matches!(self.durability, Durability::Always)
     }
 }
@@ -458,7 +458,6 @@ impl PersistentServer {
                 n: self.inner.num_clients(),
                 next_seq,
                 state: self.inner.export_state(),
-                global_next_seq: None,
             },
             self.config.sync(),
         )?;

@@ -29,11 +29,8 @@ use std::path::Path;
 
 /// Magic string opening every snapshot file.
 pub const SNAPSHOT_MAGIC: &[u8; 8] = b"FAUSTSNP";
-/// Snapshot format version for single-engine stores.
+/// Snapshot format version.
 pub const SNAPSHOT_VERSION: u32 = 1;
-/// Snapshot format version for shard replicas: the payload additionally
-/// records the *global* (cross-shard) coverage position.
-pub const SNAPSHOT_VERSION_SHARDED: u32 = 2;
 /// File name of the snapshot inside a store directory.
 pub const SNAPSHOT_FILE: &str = "snapshot.bin";
 
@@ -42,18 +39,10 @@ pub const SNAPSHOT_FILE: &str = "snapshot.bin";
 pub struct Snapshot {
     /// Client count the state is for.
     pub n: usize,
-    /// First log sequence number not reflected in `state` — *local* to
-    /// this store's own WAL.
+    /// First log sequence number not reflected in `state`.
     pub next_seq: u64,
     /// The full server state at that position.
     pub state: ServerState,
-    /// For a shard replica: the first **global** sequence number not
-    /// reflected in `state`. A shard's state covers the whole
-    /// cross-shard history (replicas apply every message), so its local
-    /// `next_seq` cannot express how far the state reaches; this does.
-    /// `None` for single-engine stores (format v1 on disk, v2 when
-    /// `Some`).
-    pub global_next_seq: Option<u64>,
 }
 
 /// Atomically writes `snapshot` as `dir/snapshot.bin`.
@@ -70,19 +59,11 @@ pub fn write_snapshot(dir: &Path, snapshot: &Snapshot, sync: bool) -> Result<(),
     let mut payload = Vec::new();
     (snapshot.n as u32).encode_into(&mut payload);
     snapshot.next_seq.encode_into(&mut payload);
-    if let Some(global) = snapshot.global_next_seq {
-        global.encode_into(&mut payload);
-    }
     encode_state(&snapshot.state, &mut payload);
 
-    let version = if snapshot.global_next_seq.is_some() {
-        SNAPSHOT_VERSION_SHARDED
-    } else {
-        SNAPSHOT_VERSION
-    };
     let mut bytes = Vec::with_capacity(8 + 4 + 4 + 32 + payload.len());
     bytes.extend_from_slice(SNAPSHOT_MAGIC);
-    version.encode_into(&mut bytes);
+    SNAPSHOT_VERSION.encode_into(&mut bytes);
     (payload.len() as u32).encode_into(&mut bytes);
     bytes.extend_from_slice(sha256(&payload).as_bytes());
     bytes.extend_from_slice(&payload);
@@ -130,7 +111,7 @@ pub fn read_snapshot(dir: &Path) -> Result<Option<Snapshot>, StoreError> {
     }
     let mut rest = &bytes[8..HEADER];
     let version = u32::decode_from(&mut rest).expect("sized above");
-    if version != SNAPSHOT_VERSION && version != SNAPSHOT_VERSION_SHARDED {
+    if version != SNAPSHOT_VERSION {
         return Err(StoreError::UnsupportedVersion {
             file: "snapshot",
             version,
@@ -150,11 +131,6 @@ pub fn read_snapshot(dir: &Path) -> Result<Option<Snapshot>, StoreError> {
     let mut input = payload;
     let n = u32::decode_from(&mut input).map_err(StoreError::SnapshotCorrupt)? as usize;
     let next_seq = u64::decode_from(&mut input).map_err(StoreError::SnapshotCorrupt)?;
-    let global_next_seq = if version == SNAPSHOT_VERSION_SHARDED {
-        Some(u64::decode_from(&mut input).map_err(StoreError::SnapshotCorrupt)?)
-    } else {
-        None
-    };
     let state = decode_state(&mut input).map_err(StoreError::SnapshotCorrupt)?;
     if !input.is_empty() {
         return Err(StoreError::SnapshotCorrupt(
@@ -167,12 +143,7 @@ pub fn read_snapshot(dir: &Path) -> Result<Option<Snapshot>, StoreError> {
             found: state.mem.len(),
         });
     }
-    Ok(Some(Snapshot {
-        n,
-        next_seq,
-        state,
-        global_next_seq,
-    }))
+    Ok(Some(Snapshot { n, next_seq, state }))
 }
 
 #[cfg(test)]
@@ -186,7 +157,6 @@ mod tests {
             n,
             next_seq,
             state: UstorServer::new(n).export_state(),
-            global_next_seq: None,
         }
     }
 
@@ -197,20 +167,6 @@ mod tests {
         let snap = snapshot(3, 42);
         write_snapshot(&dir, &snap, false).unwrap();
         assert_eq!(read_snapshot(&dir).unwrap(), Some(snap));
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn sharded_snapshot_roundtrips_the_global_position() {
-        let dir = scratch_dir("snap-global");
-        let snap = Snapshot {
-            global_next_seq: Some(977),
-            ..snapshot(2, 14)
-        };
-        write_snapshot(&dir, &snap, false).unwrap();
-        let read = read_snapshot(&dir).unwrap().unwrap();
-        assert_eq!(read, snap);
-        assert_eq!(read.global_next_seq, Some(977));
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -256,6 +212,18 @@ mod tests {
         assert!(matches!(
             read_snapshot(&dir).unwrap_err(),
             StoreError::BadMagic { file: "snapshot" }
+        ));
+
+        // Retired format version 2 (the sharded layout's snapshots).
+        let mut bad = good.clone();
+        bad[8..12].copy_from_slice(&2u32.encode());
+        std::fs::write(&path, &bad).unwrap();
+        assert!(matches!(
+            read_snapshot(&dir).unwrap_err(),
+            StoreError::UnsupportedVersion {
+                file: "snapshot",
+                version: 2
+            }
         ));
         std::fs::remove_dir_all(&dir).ok();
     }

@@ -145,21 +145,34 @@ fn hostile_length_prefix_is_rejected_without_allocating() {
 fn garbage_payload_with_matching_checksum_is_record_corrupt() {
     let dir = testutil::scratch_dir("corrupt-payload");
     let (good, spans) = seeded_store(&dir);
-    // Hand-craft a record whose checksum is *valid* but whose payload is
-    // not a LogRecord: seq 5 followed by a bogus tag.
-    let mut payload = Vec::new();
-    payload.extend_from_slice(&5u64.to_be_bytes());
-    payload.push(0xEE); // no such record tag
-    let digest = faust_crypto::sha256::sha256(&payload);
-    let mut bad = good[..spans[5].start].to_vec();
-    bad.extend_from_slice(&(payload.len() as u32).to_be_bytes());
-    bad.extend_from_slice(digest.as_bytes());
-    bad.extend_from_slice(&payload);
-    write_log(&dir, &bad);
-    assert!(matches!(
-        PersistentServer::recover(&dir, 2, no_sync()).unwrap_err(),
-        StoreError::RecordCorrupt { seq: 5, .. }
-    ));
+    // The genuine record-5 body (its LogRecord encoding, after the
+    // per-record overhead and the sequence number).
+    let record5 = &good[spans[5].start + RECORD_OVERHEAD + 8..spans[5].end];
+    // Hand-craft records whose checksum is *valid* but whose payload is
+    // not a LogRecord: seq 5 followed by a bogus tag, and seq 5 in the
+    // retired sharded-layout framing (tag 2, a global sequence number,
+    // then the wrapped record) — a store written by that layout is
+    // refused, never misread.
+    let mut retired = vec![2u8];
+    retired.extend_from_slice(&9u64.to_be_bytes());
+    retired.extend_from_slice(record5);
+    for (body, tag) in [(vec![0xEE], 0xEE), (retired, 2)] {
+        let mut payload = Vec::new();
+        payload.extend_from_slice(&5u64.to_be_bytes());
+        payload.extend_from_slice(&body);
+        let digest = faust_crypto::sha256::sha256(&payload);
+        let mut bad = good[..spans[5].start].to_vec();
+        bad.extend_from_slice(&(payload.len() as u32).to_be_bytes());
+        bad.extend_from_slice(digest.as_bytes());
+        bad.extend_from_slice(&payload);
+        write_log(&dir, &bad);
+        match PersistentServer::recover(&dir, 2, no_sync()).unwrap_err() {
+            StoreError::RecordCorrupt { seq: 5, error } => {
+                assert_eq!(error, faust_types::WireError::BadTag(tag));
+            }
+            other => panic!("tag {tag}: expected RecordCorrupt, got {other}"),
+        }
+    }
     std::fs::remove_dir_all(&dir).ok();
 }
 

@@ -55,7 +55,6 @@ pub mod driver;
 pub mod engine;
 pub mod fault;
 pub mod server;
-pub mod shard;
 
 pub use client::{
     BeginError, CommitMode, OpCompletion, PendingOpState, UstorClient, UstorClientState,
@@ -66,4 +65,3 @@ pub use fault::{CrashRestartServer, Fault, RestartHook};
 pub use server::{
     MemEntry, MemoryBackend, Server, ServerBackend, ServerState, SessionResume, UstorServer,
 };
-pub use shard::{ShardMember, ShardStatsHandle, ShardedEngine, ShardedServer, VolatileShard};

@@ -51,10 +51,10 @@
 //! snapshots, `docs/persistence.md`), under which a restarted server
 //! resumes mid-protocol invisibly to clients — and a rolled-back log is
 //! detected by them as a violation.
-//! The sharded serving path and the single-threaded many-connection
-//! reactor both landed exactly this way — behind
-//! `ServerTransport`/`ServerEngine`, without touching protocol code;
-//! further scaling work follows the same seam (see ROADMAP.md).
+//! The single-threaded many-connection reactor landed exactly this
+//! way — behind `ServerTransport`/`ServerEngine`, without touching
+//! protocol code; further scaling work follows the same seam (see
+//! ROADMAP.md).
 //!
 //! Orthogonal to the serving stack, [`audit`] adds the offline half of
 //! fail-awareness: a store directory (or an in-memory record stream)

@@ -9,14 +9,19 @@
 //! * A kill-and-restart end-to-end over real TCP with persistence and
 //!   group commit: an honest restart is invisible through the handle
 //!   (reconnect, cross-restart read), while a truncated log surfaces as
-//!   [`Event::Violation`].
+//!   [`Event::Violation`] — and, over seeded random truncation points,
+//!   exactly the clients an oracle predicts flag the rollback.
 
 use faust::client::{offline_mesh, Event, FaustHandle, HandleConfig, WaitError};
 use faust::core::runtime::spawn_engine;
 use faust::core::{
     random_faust_workloads, FaustConfig, FaustDriver, FaustDriverConfig, FaustWorkloadOp,
 };
-use faust::store::{testutil, truncate_tail_records, Durability, PersistentBackend, StoreConfig};
+use faust::sim::SmallRng;
+use faust::store::log::{Wal, WAL_FILE};
+use faust::store::{
+    testutil, truncate_tail_records, Durability, LogRecord, PersistentBackend, StoreConfig,
+};
 use faust::types::{ClientId, OpKind, Timestamp, Value};
 use faust::ustor::{ServerBackend, UstorServer};
 use std::time::{Duration, Instant};
@@ -150,7 +155,7 @@ fn pipelined_handles_match_the_driver_script() {
     }
 }
 
-/// Config shared by both kill-and-restart tests: quiet handles (the
+/// Config shared by the kill-and-restart tests: quiet handles (the
 /// restart story is about reads/writes, not probes), a pipeline window,
 /// group commit at production-ish CI scale.
 fn restart_config() -> HandleConfig {
@@ -305,4 +310,235 @@ fn truncated_log_raises_a_violation_event() {
     h1.disconnect();
     engine.join().expect("engine thread");
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Byte-for-byte copy of a (flat) store directory.
+fn copy_store(src: &std::path::Path, dst: &std::path::Path) {
+    std::fs::create_dir_all(dst).expect("mkdir");
+    for entry in std::fs::read_dir(src).expect("readdir") {
+        let entry = entry.expect("dir entry");
+        std::fs::copy(entry.path(), dst.join(entry.file_name())).expect("copy");
+    }
+}
+
+/// The seeded generalisation of the test above: **random truncation
+/// points**. Each iteration runs a pinned round-robin write schedule
+/// (every wait observed, so each op's log position is known exactly),
+/// then cuts the log back to just before a random client's SUBMIT of a
+/// random round ≥ 2. The oracle is computed from the log and the cut
+/// point alone. Strict recovery accepts the shortened log — a
+/// boundary truncation is locally undetectable — so the recovered
+/// history is the prefix below the cut. A reconnecting resilient
+/// session *replays its latest COMMIT* (the resend window retains it
+/// as the Algorithm 1 line 41 anchor), which re-anchors the client's
+/// own history on the rolled-back server — so plain version regression
+/// is no longer visible to a write; a tail rollback whose evidence was
+/// entirely superseded heals silently (reads that could observe lost
+/// data still detect, which `tests/crash_recovery.rs` and
+/// `tests/chaos.rs` exercise against shared incarnations). What a
+/// write still proves is a surviving-but-uncovered pending SUBMIT whose
+/// signature cannot verify at the healed version's expected timestamp;
+/// the oracle below predicts exactly those flags. Every other client
+/// must stay clean: fail-aware detection is accurate, not just
+/// complete.
+///
+/// The oracle reads the sequence numbers back from the log rather than
+/// assuming a schedule: the waits pin each *client's* record order, but
+/// a COMMIT can legitimately be overtaken by the next client's SUBMIT.
+#[test]
+fn random_truncation_points_recover_into_flagged_rollbacks() {
+    let wait = Duration::from_secs(10);
+    // 16 seeds cover all-clean, all-flagged and mixed verdicts.
+    for seed in 0..16u64 {
+        let mut rng = SmallRng::seed_from_u64(0x5A_D0 ^ seed);
+        let n = rng.gen_range_inclusive(2, 4) as usize;
+        let rounds = rng.gen_range_inclusive(2, 3) as usize;
+        let dir = testutil::scratch_dir(&format!("handle-truncation-prop-{seed}"));
+        let backend = PersistentBackend::new(&dir, group_store());
+        let config = restart_config();
+
+        // Phase 1: `rounds` round-robin writes per client, strictly
+        // sequential; each op logs its SUBMIT and then its COMMIT.
+        let (addr, engine) = incarnation(&backend, n);
+        let mut handles: Vec<FaustHandle> = (0..n)
+            .map(|i| {
+                FaustHandle::connect_tcp(addr, c(i as u32), n, b"handle-trunc-prop", &config)
+                    .expect("connect")
+            })
+            .collect();
+        for r in 0..rounds {
+            for (i, h) in handles.iter_mut().enumerate() {
+                let ticket = h.write(Value::from(vec![b'v', i as u8, r as u8]));
+                let done = h.wait(ticket, wait).expect("phase-1 write completes");
+                assert_eq!(done.timestamp, (r + 1) as u64, "seed {seed}");
+            }
+        }
+        for h in &mut handles {
+            h.disconnect();
+        }
+        engine.join().expect("engine thread");
+
+        // Ground truth before tampering: every record's sequence number,
+        // per client, alternating SUBMIT (even index) and COMMIT (odd).
+        let mut logs: Vec<Vec<u64>> = vec![Vec::new(); n];
+        for scanned in Wal::scan(&dir.join(WAL_FILE)).expect("scan log").records {
+            let log = &mut logs[scanned.record.from().index()];
+            let is_submit = matches!(scanned.record, LogRecord::Submit { .. });
+            assert_eq!(is_submit, log.len().is_multiple_of(2), "seed {seed}");
+            log.push(scanned.seq);
+        }
+        for (i, log) in logs.iter().enumerate() {
+            assert_eq!(log.len(), 2 * rounds, "seed {seed}, client {i}");
+        }
+
+        // The attack: cut the log back to just before client `m`'s
+        // SUBMIT of round `r` (r >= 2), dropping it and everything
+        // sequenced after it.
+        let m = rng.gen_index(n);
+        let r = rng.gen_range_inclusive(2, rounds as u64) as usize;
+        let first_hole = logs[m][2 * (r - 1)];
+        let total = (2 * n * rounds) as u64;
+        let kept = truncate_tail_records(&dir, (total - first_hole) as usize)
+            .expect("tamper with the log");
+        assert_eq!(kept, first_hole as usize, "a rollback, not a wipe");
+
+        // The oracle, from the logged sequence numbers and the cut
+        // point. What the recovered server still holds, per client:
+        // SUBMIT records sit at even indices of its log, COMMITs at odd
+        // (one client's own stream is never reordered).
+        let submits = |i: usize| logs[i].iter().copied().step_by(2);
+        let commits = |i: usize| logs[i].iter().copied().skip(1).step_by(2);
+        let effective: Vec<usize> = (0..n)
+            .map(|i| submits(i).filter(|&s| s < first_hole).count())
+            .collect();
+        let eff_commits: Vec<usize> = (0..n)
+            .map(|i| commits(i).filter(|&s| s < first_hole).count())
+            .collect();
+        // The version committed for client m's op r: entry i counts i's
+        // SUBMITs processed up to m's r-th SUBMIT (its own included).
+        // All versions along one schedule are totally ordered, so an
+        // entry-wise comparison identifies the dominant one.
+        let version_at = |m: usize, r: usize| -> Vec<usize> {
+            let pivot = logs[m][2 * (r - 1)];
+            (0..n)
+                .map(|i| submits(i).filter(|&s| s <= pivot).count())
+                .collect()
+        };
+        let dominates = |a: &[usize], b: &[usize]| a.iter().zip(b).all(|(x, y)| x >= y);
+        // The dominant surviving commit version: recovery replays the
+        // surviving COMMITs in log order and `on_commit` keeps the
+        // greatest.
+        let v_surviving = (0..n)
+            .flat_map(|m| (1..=rounds).map(move |r| (m, r)))
+            .filter(|&(m, r)| logs[m][2 * r - 1] < first_hole)
+            .map(|(m, r)| version_at(m, r))
+            .reduce(|a, b| if dominates(&b, &a) { b } else { a })
+            .expect("a round-1 commit always survives");
+        // Phase-2 oracle under resilient-session semantics: client j's
+        // reconnect replays its final COMMIT, so the reply it folds
+        // starts from the dominant of {best surviving version, j's own
+        // final version} — plain version regression is re-anchored, not
+        // flagged. What remains visible is a surviving-but-uncovered
+        // pending SUBMIT (a COMMIT that fell past the cut while its
+        // SUBMIT survived — possible exactly because a COMMIT may be
+        // overtaken by the next client's SUBMIT): the fold checks each
+        // pending tuple's SUBMIT-signature at the healed version's
+        // expected timestamp, and a healed entry that moved past the
+        // tuple's true timestamp cannot verify.
+        //
+        // Which pending tuples the reply folds depends on the replayed
+        // COMMIT's pruning (Algorithm 2 lines 118–121): the replay
+        // advances the schedule head only if j's final version is the
+        // dominant one, and it prunes (j's covered tuple and everything
+        // queued before it) only if the covered tuple is actually in L —
+        // i.e. j's own uncovered SUBMIT is its *final* one. Otherwise
+        // nothing is pruned, and j's own stale pending tuple — expected
+        // at the healed `rounds + 1` but signed at its true timestamp —
+        // always flags.
+        let pend = |k: usize| effective[k] == eff_commits[k] + 1;
+        // Log position of client k's surviving pending SUBMIT.
+        let pend_seq = |k: usize| logs[k][2 * (effective[k] - 1)];
+        let must_flag: Vec<bool> = (0..n)
+            .map(|j| {
+                let own = version_at(j, rounds);
+                let own_dominant = dominates(&own, &v_surviving);
+                assert!(
+                    own_dominant || dominates(&v_surviving, &own),
+                    "seed {seed}: schedule versions are totally ordered"
+                );
+                let heal = if own_dominant { &own } else { &v_surviving };
+                let prunes = pend(j) && own_dominant && effective[j] == rounds;
+                let own_folds = pend(j) && !prunes;
+                let peer_folds =
+                    |k: usize| pend(k) && (!prunes || pend_seq(k) > logs[j][2 * (rounds - 1)]);
+                own_folds
+                    || (0..n)
+                        .filter(|&k| k != j)
+                        .any(|k| peer_folds(k) && heal[k] != eff_commits[k])
+            })
+            .collect();
+
+        // Freeze the tampered log: each client gets its verdict against
+        // a pristine copy, so one client's post-rollback SUBMIT (logged,
+        // replayed as pending, folded into candidates) cannot mask the
+        // regression the next client would otherwise see.
+        let copies: Vec<std::path::PathBuf> = (0..n)
+            .map(|j| {
+                let copy = dir.with_file_name(format!(
+                    "{}-client{j}",
+                    dir.file_name().unwrap().to_string_lossy()
+                ));
+                copy_store(&dir, &copy);
+                copy
+            })
+            .collect();
+
+        // Phase 2: each client reconnects to its own recovered
+        // incarnation and writes once. Exactly the predicted clients
+        // flag the rollback; the rest stay clean.
+        for (j, h) in handles.iter_mut().enumerate() {
+            let (addr, engine) = incarnation(&PersistentBackend::new(&copies[j], group_store()), n);
+            // The transport serves exactly n client slots; fill the
+            // others with idle connections so the engine can retire.
+            let fillers: Vec<_> = (0..n)
+                .filter(|&k| k != j)
+                .map(|k| faust::net::tcp::connect(addr, c(k as u32)).expect("filler"))
+                .collect();
+            h.reconnect(Box::new(
+                faust::net::tcp::connect(addr, c(j as u32)).expect("redial"),
+            ));
+            let ticket = h.write(Value::from(vec![b'p', j as u8]));
+            if must_flag[j] {
+                let err = h.wait(ticket, wait).expect_err("rollback must be detected");
+                assert!(
+                    matches!(err, WaitError::Violation(_)),
+                    "seed {seed}, client {j}: got {err:?}"
+                );
+                assert!(
+                    h.poll()
+                        .iter()
+                        .any(|(_, e)| matches!(e, Event::Violation { .. })),
+                    "seed {seed}, client {j}: expected Event::Violation"
+                );
+                assert!(h.failure().is_some(), "seed {seed}, client {j}");
+            } else {
+                let done = h.wait(ticket, wait).unwrap_or_else(|e| {
+                    panic!(
+                        "seed {seed}, client {j}, cut before seq {first_hole}: detection \
+                         must be accurate, but the clean client saw {e:?}"
+                    )
+                });
+                // The session kept its own clock: the replayed COMMIT
+                // re-anchored the server, and the write lands at the
+                // client's true next timestamp, rolled-back tail or not.
+                assert_eq!(done.timestamp, rounds as u64 + 1, "seed {seed}");
+                assert!(h.failure().is_none(), "seed {seed}, client {j}");
+            }
+            h.disconnect();
+            drop(fillers);
+            engine.join().expect("engine thread");
+            std::fs::remove_dir_all(&copies[j]).ok();
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
 }

@@ -577,7 +577,12 @@ fn slow_consumer_is_excised_with_typed_reason_and_bounded_memory() {
             data_sig: keypair.sign(SigContext::Data, &data_signing_bytes(t, None)),
             piggyback: None,
         };
-        write_frame(&mut hostile, &UstorMsg::Submit(submit)).expect("hostile submit");
+        // The server may excise the connection before the burst ends —
+        // the behaviour under test — so a failed write ends the burst;
+        // the counters below still demand a typed slow-consumer excision.
+        if write_frame(&mut hostile, &UstorMsg::Submit(submit)).is_err() {
+            break;
+        }
     }
 
     // The server excises the hostile connection once its unread egress
