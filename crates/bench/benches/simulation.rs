@@ -5,10 +5,9 @@
 
 use faust_baseline::{LsDriver, LsWorkloadOp};
 use faust_bench::timing::{bench, section};
-use faust_core::{FaustDriver, FaustDriverConfig, FaustWorkloadOp};
+use faust_core::{run_sim, Adversary, FaustWorkloadOp, ServerSpec, SimScenario};
 use faust_sim::SimConfig;
 use faust_types::{ClientId, Value};
-use faust_ustor::adversary::SplitBrainServer;
 use faust_ustor::{Driver, UstorServer, WorkloadOp};
 use std::hint::black_box;
 
@@ -50,11 +49,15 @@ fn main() {
 
     section("full FAUST fork-detection run");
     bench("sim_faust_fork_detection", || {
-        let server = SplitBrainServer::new(4, vec![vec![c(0), c(1)], vec![c(2), c(3)]], 0);
-        let mut d = FaustDriver::new(4, Box::new(server), FaustDriverConfig::default(), b"bench");
-        for i in 0..4 {
-            d.push_op(c(i), FaustWorkloadOp::Write(Value::unique(i, 0)));
-        }
-        black_box(d.run_until(5_000));
+        let workloads = (0..4)
+            .map(|i| vec![FaustWorkloadOp::Write(Value::unique(i, 0))])
+            .collect();
+        black_box(run_sim(&SimScenario {
+            server: ServerSpec::Byzantine(Adversary::SplitBrain {
+                groups: vec![vec![c(0), c(1)], vec![c(2), c(3)]],
+                fork_after: 0,
+            }),
+            ..SimScenario::new(0, workloads, 5_000)
+        }));
     });
 }

@@ -13,11 +13,10 @@
 pub mod timing;
 
 use faust_baseline::{LsDriver, LsWorkloadOp};
-use faust_core::{FaustConfig, FaustDriver, FaustDriverConfig, FaustWorkloadOp};
+use faust_core::{run_sim, Adversary, FaustConfig, FaustWorkloadOp, ServerSpec, SimScenario};
 use faust_crypto::sig::KeySet;
 use faust_sim::{DelayModel, SimConfig};
 use faust_types::{ClientId, Value, Wire};
-use faust_ustor::adversary::SplitBrainServer;
 use faust_ustor::{Driver, Server, UstorClient, UstorServer, WorkloadOp};
 
 fn c(i: u32) -> ClientId {
@@ -324,34 +323,22 @@ pub fn detection_latency_sweep(probe_periods: &[u64], seeds: u64, n: usize) -> V
                     (0..n / 2).map(|i| c(i as u32)).collect::<Vec<_>>(),
                     (n / 2..n).map(|i| c(i as u32)).collect::<Vec<_>>(),
                 ];
-                let server = SplitBrainServer::new(n, groups, 0);
-                let mut driver = FaustDriver::new(
-                    n,
-                    Box::new(server),
-                    FaustDriverConfig {
-                        sim: SimConfig {
-                            seed,
-                            link_delay: DelayModel::Uniform(1, 5),
-                            offline_delay: DelayModel::Uniform(10, 50),
-                        },
-                        faust: FaustConfig {
-                            probe_period,
-                            dummy_reads: true,
-                            commit_mode: faust_ustor::CommitMode::Immediate,
-                            pipeline: 1,
-                        },
-                        tick_period: 25,
+                let workloads = (0..n)
+                    .map(|i| vec![FaustWorkloadOp::Write(Value::unique(i as u32, seed))])
+                    .collect();
+                let result = run_sim(&SimScenario {
+                    server: ServerSpec::Byzantine(Adversary::SplitBrain {
+                        groups,
+                        fork_after: 0,
+                    }),
+                    faust: FaustConfig {
+                        probe_period,
+                        ..FaustConfig::default()
                     },
-                    b"bench-detect",
-                );
-                for i in 0..n {
-                    driver.push_op(
-                        c(i as u32),
-                        FaustWorkloadOp::Write(Value::unique(i as u32, seed)),
-                    );
-                }
-                let deadline = 100 * probe_period + 10_000;
-                let result = driver.run_until(deadline);
+                    link_delay: DelayModel::Uniform(1, 5),
+                    offline_delay: DelayModel::Uniform(10, 50),
+                    ..SimScenario::new(seed, workloads, 100 * probe_period + 10_000)
+                });
                 let all_failed = (0..n).all(|i| result.failure_time(c(i as u32)).is_some());
                 if all_failed {
                     detected += 1;
@@ -396,27 +383,18 @@ pub fn stability_latency_sweep(configs: &[(u64, u64)], seeds: u64, n: usize) -> 
             let mut total = 0.0;
             let mut count = 0u64;
             for seed in 0..seeds {
-                let mut driver = FaustDriver::new(
-                    n,
-                    Box::new(UstorServer::new(n)),
-                    FaustDriverConfig {
-                        sim: SimConfig {
-                            seed,
-                            link_delay: DelayModel::Uniform(1, 5),
-                            offline_delay: DelayModel::Uniform(10, 50),
-                        },
-                        faust: FaustConfig {
-                            probe_period,
-                            dummy_reads: true,
-                            commit_mode: faust_ustor::CommitMode::Immediate,
-                            pipeline: 1,
-                        },
-                        tick_period,
+                let mut workloads = vec![Vec::new(); n];
+                workloads[0].push(FaustWorkloadOp::Write(Value::unique(0, seed)));
+                let result = run_sim(&SimScenario {
+                    tick_period,
+                    faust: FaustConfig {
+                        probe_period,
+                        ..FaustConfig::default()
                     },
-                    b"bench-stability",
-                );
-                driver.push_op(c(0), FaustWorkloadOp::Write(Value::unique(0, seed)));
-                let result = driver.run_until(100 * probe_period + 10_000);
+                    link_delay: DelayModel::Uniform(1, 5),
+                    offline_delay: DelayModel::Uniform(10, 50),
+                    ..SimScenario::new(seed, workloads, 100 * probe_period + 10_000)
+                });
                 let completed_at =
                     result.notifications[0]
                         .iter()

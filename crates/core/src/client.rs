@@ -148,6 +148,21 @@ impl Wire for FaustClientState {
             return Err(WireError::BadTag(tag));
         }
         let rr_next = u32::decode_from(buf)?;
+        // Every per-client vector is indexed by client id on resume, so
+        // a file whose arity disagrees with `n` must not load.
+        let n = ustor.n as usize;
+        if n == 0 || ustor.id.index() >= n {
+            return Err(WireError::BadLength(u64::from(ustor.n)));
+        }
+        let versions = std::iter::once(&ustor.version).chain(&ver);
+        for len in [ver.len(), ver_time.len(), w.len()]
+            .into_iter()
+            .chain(versions.map(Version::num_clients))
+        {
+            if len != n {
+                return Err(WireError::BadLength(len as u64));
+            }
+        }
         Ok(FaustClientState {
             ustor,
             probe_period,

@@ -20,8 +20,8 @@
 //!
 //! The sans-io half of the handle is [`SessionCore`]: the ticket/event
 //! bookkeeping over a [`FaustClient`], with no clock and no transport.
-//! The deterministic simulation driver ([`crate::FaustDriver`]) drives a
-//! `SessionCore` per client inside virtual time; [`FaustHandle`] wraps
+//! The deterministic simulator ([`crate::sim`]) drives a `SessionCore`
+//! per client inside virtual time; [`FaustHandle`] wraps
 //! one around a real [`ClientTransport`] and an [`Instant`]-based clock.
 //! Both therefore run the *identical* protocol and event semantics.
 //!
@@ -331,8 +331,8 @@ impl Wire for SessionState {
 /// Every entry point takes the current protocol time (milliseconds) and
 /// returns the [`SessionOutput`] the embedding must transmit; events
 /// accumulate internally, stamped with that time. [`FaustHandle`] drives
-/// one against wall-clock time; [`crate::FaustDriver`] drives one per
-/// simulated client inside virtual time — same code, same semantics.
+/// one against wall-clock time; [`crate::sim`] drives one per simulated
+/// client inside virtual time — same code, same semantics.
 #[derive(Debug)]
 pub struct SessionCore {
     proto: FaustClient,

@@ -21,36 +21,34 @@
 //!
 //! * [`FaustClient`] — the sans-io protocol state machine.
 //! * [`OfflineMsg`] — the signed offline messages.
-//! * [`FaustDriver`] — deterministic whole-system simulation (clients +
-//!   server + both channels), used by the tests, examples, and the
-//!   experiment harness.
-//! * [`runtime`] — a thread-per-client runtime demonstrating the same
-//!   stack under real concurrency.
+//! * [`FaustHandle`] — the live client API: one [`SessionCore`] per
+//!   client over a real transport, and the only threaded client runtime
+//!   ([`threaded_faust`] runs a whole deployment of them).
+//! * [`sim`] — deterministic whole-system simulation (clients + server +
+//!   both channels, with fault plans and oracles), used by the tests,
+//!   examples, and the experiment harness.
+//! * [`runtime`] — spawns a server engine thread over any transport.
 //!
 //! # Example
 //!
 //! ```
-//! use faust_core::{FaustDriver, FaustDriverConfig, FaustWorkloadOp};
+//! use faust_core::{run_sim, FaustWorkloadOp, SimScenario};
 //! use faust_types::{ClientId, Value};
-//! use faust_ustor::UstorServer;
 //!
-//! let mut driver = FaustDriver::new(
-//!     3,
-//!     Box::new(UstorServer::new(3)),
-//!     FaustDriverConfig::default(),
-//!     b"quickstart",
-//! );
-//! driver.push_op(ClientId::new(0), FaustWorkloadOp::Write(Value::from("hello")));
-//! driver.push_op(ClientId::new(1), FaustWorkloadOp::Read(ClientId::new(0)));
-//! let result = driver.run_until(5_000);
-//! assert!(result.failures.is_empty());
+//! let workloads = vec![
+//!     vec![FaustWorkloadOp::Write(Value::from("hello"))],
+//!     vec![FaustWorkloadOp::Read(ClientId::new(0))],
+//!     vec![],
+//! ];
+//! let report = run_sim(&SimScenario::new(0, workloads, 5_000));
+//! assert!(report.failures.is_empty());
+//! assert_eq!(report.completed_ops(), 2);
 //! ```
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod client;
-pub mod driver;
 pub mod events;
 pub mod handle;
 pub mod offline;
@@ -60,9 +58,6 @@ pub mod sim;
 pub mod threaded_faust;
 
 pub use client::{Actions, FaustClient, FaustClientState, FaustConfig, UserOp};
-pub use driver::{
-    random_faust_workloads, FaustDriver, FaustDriverConfig, FaustRunResult, FaustWorkloadOp,
-};
 pub use events::{FailReason, FaustCompletion, Notification, StabilityCut};
 pub use handle::{
     offline_mesh, DisconnectCause, Event, FaustHandle, HandleConfig, HandleStats, OfflineLink,
@@ -71,9 +66,9 @@ pub use handle::{
 pub use offline::OfflineMsg;
 pub use persist::{checkpoint_session, load_session, save_session};
 pub use sim::{
-    check_determinism, check_oracles, gen_scenario, investigate, run_and_check, run_sim, CrashSpec,
-    FaultClause, FaultPlan, ServerSpec, SimDurability, SimFailure, SimRunReport, SimScenario,
-    WalTamper,
+    check_determinism, check_oracles, gen_scenario, investigate, random_faust_workloads,
+    run_and_check, run_sim, Adversary, CrashSpec, FaultClause, FaultPlan, FaustWorkloadOp,
+    ServerSpec, SimDurability, SimFailure, SimRunReport, SimScenario, WalTamper,
 };
 pub use threaded_faust::{
     run_faust_session, run_threaded_faust, run_threaded_faust_over, run_threaded_faust_tcp,

@@ -247,6 +247,44 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
+    /// A session file whose checksum is valid but whose per-client
+    /// vectors disagree with its client count is rejected at load time
+    /// with a typed error — resuming it would index out of bounds.
+    #[test]
+    fn session_file_with_inconsistent_client_count_is_rejected() {
+        let dir = scratch_dir("persist-arity");
+        let path = dir.join("c0.session");
+        let keys = keys(2);
+        let mut server = UstorServer::new(2);
+        let mut core = fresh_core(&keys, 0, 2);
+        let (_, out) = core.submit(UserOp::Write(Value::from("v")), 1);
+        pump(&mut server, &mut core, out.to_server, 1);
+        let live = core.export_state(1).expect("live session exports");
+
+        let mutants: [(&str, fn(&mut SessionState)); 5] = [
+            ("n = 0", |s| s.proto.ustor.n = 0),
+            ("id >= n", |s| s.proto.ustor.id = ClientId::new(2)),
+            ("short ver", |s| s.proto.ver.truncate(1)),
+            ("short ver_time", |s| s.proto.ver_time.truncate(1)),
+            ("short w", |s| s.proto.w.truncate(1)),
+        ];
+        for (name, mutate) in mutants {
+            let mut state = live.clone();
+            mutate(&mut state);
+            save_session(&path, &state).unwrap();
+            assert!(
+                matches!(
+                    load_session(&path),
+                    Err(StoreError::SessionCorrupt(
+                        faust_types::WireError::BadLength(_)
+                    ))
+                ),
+                "{name}: expected a typed length error"
+            );
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
     #[test]
     fn halted_session_refuses_to_export() {
         let keys = keys(2);

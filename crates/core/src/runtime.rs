@@ -1,206 +1,15 @@
-//! Thread-per-client runtime: the same USTOR protocol stack as the
-//! simulator drives, but over real OS threads — genuine concurrency
-//! rather than virtual time.
+//! Server engine threads: the transport-agnostic [`ServerEngine`] of
+//! `faust-ustor` running [`serve`] on its own OS thread over any
+//! [`faust_net`] transport (in-process channels, loopback or real TCP).
 //!
-//! The server side is the transport-agnostic [`ServerEngine`] running in
-//! its own thread over a [`faust_net`] transport (in-process channels
-//! here; the FAUST variant in [`crate::threaded_faust`] also runs over
-//! loopback TCP). Used by the wait-freedom demonstrations and throughput
-//! benchmarks: a slow (or sleeping) client provably does not delay the
-//! others, because the server answers each SUBMIT immediately and never
-//! waits for anybody's COMMIT.
+//! The client side of a threaded deployment is [`crate::FaustHandle`]
+//! (one per client, see [`crate::threaded_faust`] for a whole
+//! deployment); the thread returned here joins with the engine's final
+//! statistics once every client has disconnected.
 
-use faust_crypto::sig::{KeySet, SigScheme};
-use faust_net::{channel, ClientConn};
-use faust_types::{ClientId, UstorMsg, Value};
-use faust_ustor::{serve, Fault, Server, ServerEngine, UstorClient, UstorServer};
-use std::time::{Duration, Instant};
+use faust_ustor::{serve, Server, ServerEngine};
 
-/// One step of a threaded client workload.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum ThreadedOp {
-    /// Write a value to the client's own register.
-    Write(Value),
-    /// Read a register.
-    Read(ClientId),
-    /// Sleep for this many milliseconds (a slow collaborator).
-    SleepMs(u64),
-}
-
-/// Outcome of a threaded run.
-#[derive(Debug)]
-pub struct ThreadedReport {
-    /// Completed operations per client.
-    pub completions: Vec<usize>,
-    /// Faults detected (none unless the server misbehaves).
-    pub faults: Vec<(ClientId, Fault)>,
-    /// Wall-clock duration of the whole run.
-    pub elapsed: Duration,
-    /// Wall-clock duration until each client finished its own workload.
-    pub per_client_elapsed: Vec<Duration>,
-    /// Final engine statistics from the server thread.
-    pub engine_stats: faust_ustor::EngineStats,
-}
-
-/// Runs `n` clients on threads against a correct in-process USTOR server
-/// over the channel transport.
-///
-/// Returns when every client has finished its workload. Because USTOR is
-/// wait-free, a client's [`ThreadedOp::SleepMs`] steps never extend the
-/// other clients' `per_client_elapsed`.
-///
-/// # Panics
-///
-/// Panics if `workloads.len() != n` or a thread panics.
-pub fn run_threaded(n: usize, workloads: Vec<Vec<ThreadedOp>>, key_seed: &[u8]) -> ThreadedReport {
-    run_threaded_with_server(n, workloads, key_seed, Box::new(UstorServer::new(n)))
-}
-
-/// [`run_threaded`] with an explicit server implementation — the hook
-/// through which the threaded runtime runs durably: pass a server built
-/// by any [`faust_ustor::ServerBackend`] (e.g. `faust-store`'s
-/// `PersistentBackend`) instead of the default volatile [`UstorServer`].
-///
-/// # Panics
-///
-/// Panics if `workloads.len() != n` or a thread panics.
-pub fn run_threaded_with_server(
-    n: usize,
-    workloads: Vec<Vec<ThreadedOp>>,
-    key_seed: &[u8],
-    server: Box<dyn Server + Send>,
-) -> ThreadedReport {
-    let (mut transport, conns) = channel::pair(n);
-    let engine_thread = std::thread::spawn(move || {
-        let mut engine = ServerEngine::new(n, server);
-        serve(&mut engine, &mut transport);
-        engine.stats().clone()
-    });
-    run_threaded_over(n, workloads, conns, key_seed, engine_thread)
-}
-
-/// Runs `n` clients on threads over pre-built connections; the server
-/// engine runs wherever `engine_thread` put it (another thread, another
-/// process behind TCP, …).
-///
-/// # Panics
-///
-/// Panics if `workloads.len() != conns.len() != n` or a thread panics.
-pub fn run_threaded_over(
-    n: usize,
-    workloads: Vec<Vec<ThreadedOp>>,
-    conns: Vec<ClientConn>,
-    key_seed: &[u8],
-    engine_thread: std::thread::JoinHandle<faust_ustor::EngineStats>,
-) -> ThreadedReport {
-    run_threaded_over_with(
-        n,
-        workloads,
-        conns,
-        key_seed,
-        SigScheme::Hmac,
-        engine_thread,
-    )
-}
-
-/// [`run_threaded_over`] with an explicit signature scheme. With
-/// [`SigScheme::Ed25519`] the matching *public-key* registry
-/// (`KeySet::generate_ed25519(n, key_seed).registry()`) can be handed to
-/// the engine for sound ingress verification — the server never sees
-/// signing keys.
-///
-/// # Panics
-///
-/// Panics if `workloads.len() != conns.len() != n` or a thread panics.
-pub fn run_threaded_over_with(
-    n: usize,
-    workloads: Vec<Vec<ThreadedOp>>,
-    conns: Vec<ClientConn>,
-    key_seed: &[u8],
-    scheme: SigScheme,
-    engine_thread: std::thread::JoinHandle<faust_ustor::EngineStats>,
-) -> ThreadedReport {
-    assert_eq!(workloads.len(), n, "one workload per client");
-    assert_eq!(conns.len(), n, "one connection per client");
-    let keys = KeySet::generate_with(scheme, n, key_seed);
-
-    let start = Instant::now();
-    let mut handles = Vec::with_capacity(n);
-    for (i, (workload, conn)) in workloads.into_iter().zip(conns).enumerate() {
-        let id = ClientId::new(i as u32);
-        assert_eq!(conn.id(), id, "connections must be in client order");
-        let keypair = keys.keypair(i as u32).expect("generated").clone();
-        let registry = keys.registry();
-        handles.push(std::thread::spawn(move || {
-            let mut client = UstorClient::new(id, n, keypair, registry);
-            let mut completions = 0usize;
-            let mut fault = None;
-            let begun = Instant::now();
-            'workload: for op in workload {
-                let submit = match op {
-                    ThreadedOp::SleepMs(ms) => {
-                        std::thread::sleep(Duration::from_millis(ms));
-                        continue;
-                    }
-                    ThreadedOp::Write(v) => client.begin_write(v),
-                    ThreadedOp::Read(j) => client.begin_read(j),
-                };
-                let Ok(submit) = submit else { break };
-                if conn.send(&UstorMsg::Submit(submit)).is_err() {
-                    break;
-                }
-                // The engine sends only replies to clients.
-                let reply = loop {
-                    match conn.recv() {
-                        Ok(UstorMsg::Reply(reply)) => break reply,
-                        Ok(_) => continue,
-                        Err(_) => break 'workload,
-                    }
-                };
-                match client.handle_reply(reply) {
-                    Ok((commit, _done)) => {
-                        completions += 1;
-                        if let Some(commit) = commit {
-                            if conn.send(&UstorMsg::Commit(commit)).is_err() {
-                                break 'workload;
-                            }
-                        }
-                    }
-                    Err(f) => {
-                        fault = Some(f);
-                        break 'workload;
-                    }
-                }
-            }
-            // Dropping `conn` here closes this client's connection; the
-            // engine thread finishes once every client has done so.
-            (completions, fault, begun.elapsed())
-        }));
-    }
-
-    let mut completions = vec![0; n];
-    let mut per_client_elapsed = vec![Duration::ZERO; n];
-    let mut faults = Vec::new();
-    for (i, handle) in handles.into_iter().enumerate() {
-        let (done, fault, elapsed) = handle.join().expect("client thread panicked");
-        completions[i] = done;
-        per_client_elapsed[i] = elapsed;
-        if let Some(f) = fault {
-            faults.push((ClientId::new(i as u32), f));
-        }
-    }
-    let engine_stats = engine_thread.join().expect("server thread panicked");
-    ThreadedReport {
-        completions,
-        faults,
-        elapsed: start.elapsed(),
-        per_client_elapsed,
-        engine_stats,
-    }
-}
-
-/// Spawns a server engine thread serving `server` over `transport`,
-/// returning the handle [`run_threaded_over`] expects.
+/// Spawns a server engine thread serving `server` over `transport`.
 pub fn spawn_engine<T>(
     n: usize,
     server: Box<dyn Server + Send>,
@@ -225,211 +34,4 @@ where
         serve(&mut engine, &mut transport);
         engine.stats().clone()
     })
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn c(i: u32) -> ClientId {
-        ClientId::new(i)
-    }
-
-    #[test]
-    fn threaded_run_completes_all_ops() {
-        let workloads = vec![
-            vec![
-                ThreadedOp::Write(Value::from("a1")),
-                ThreadedOp::Write(Value::from("a2")),
-                ThreadedOp::Read(c(1)),
-            ],
-            vec![ThreadedOp::Write(Value::from("b1")), ThreadedOp::Read(c(0))],
-        ];
-        let report = run_threaded(2, workloads, b"threaded-test");
-        assert_eq!(report.completions, vec![3, 2]);
-        assert!(report.faults.is_empty());
-        assert_eq!(report.engine_stats.submits, 5);
-        assert_eq!(report.engine_stats.commits, 5);
-    }
-
-    #[test]
-    fn slow_client_does_not_delay_fast_clients() {
-        // C1 sleeps 300 ms mid-workload; C0's 20 ops must not take
-        // anywhere near that long.
-        let workloads = vec![
-            (0..20)
-                .map(|i| ThreadedOp::Write(Value::unique(0, i)))
-                .collect(),
-            vec![
-                ThreadedOp::Write(Value::unique(1, 0)),
-                ThreadedOp::SleepMs(300),
-                ThreadedOp::Write(Value::unique(1, 1)),
-            ],
-        ];
-        let report = run_threaded(2, workloads, b"slow-test");
-        assert_eq!(report.completions, vec![20, 2]);
-        assert!(
-            report.per_client_elapsed[0] < Duration::from_millis(200),
-            "wait-freedom violated: fast client took {:?}",
-            report.per_client_elapsed[0]
-        );
-    }
-
-    #[test]
-    fn many_threads_heavy_interleaving() {
-        let n = 8;
-        let workloads: Vec<Vec<ThreadedOp>> = (0..n)
-            .map(|i| {
-                (0..25)
-                    .map(|s| {
-                        if s % 3 == 0 {
-                            ThreadedOp::Read(c(((i as u32) + 1) % n as u32))
-                        } else {
-                            ThreadedOp::Write(Value::unique(i as u32, s))
-                        }
-                    })
-                    .collect()
-            })
-            .collect();
-        let report = run_threaded(n, workloads, b"heavy");
-        assert!(report.faults.is_empty(), "{:?}", report.faults);
-        assert_eq!(report.completions, vec![25; 8]);
-    }
-
-    #[test]
-    fn ed25519_ingress_verification_with_public_keys_only() {
-        // The sound deployment: clients sign with Ed25519, the engine
-        // verifies every SUBMIT at ingress holding *only* the public-key
-        // registry. Honest traffic passes untouched.
-        let n = 2;
-        let key_seed = b"threaded-ed25519";
-        let keys = faust_crypto::KeySet::generate_ed25519(n, key_seed);
-        let registry = keys.registry();
-        assert!(registry.is_public(), "server must hold public keys only");
-        let (transport, conns) = channel::pair(n);
-        let engine = ServerEngine::new(n, Box::new(UstorServer::new(n))).with_verification(
-            faust_ustor::IngressVerification::Batched(std::sync::Arc::new(registry)),
-        );
-        let engine_thread = spawn_engine_with(engine, transport);
-        let workloads = vec![
-            vec![
-                ThreadedOp::Write(Value::from("signed-1")),
-                ThreadedOp::Write(Value::from("signed-2")),
-            ],
-            vec![ThreadedOp::Read(c(0))],
-        ];
-        let report = run_threaded_over_with(
-            n,
-            workloads,
-            conns,
-            key_seed,
-            SigScheme::Ed25519,
-            engine_thread,
-        );
-        assert!(report.faults.is_empty(), "{:?}", report.faults);
-        assert_eq!(report.completions, vec![2, 1]);
-        assert_eq!(report.engine_stats.rejected, 0);
-        assert_eq!(report.engine_stats.submits, 3);
-    }
-
-    #[test]
-    fn threaded_runtime_runs_durably_over_a_persistent_backend() {
-        // The same thread-per-client runtime, with the engine built from
-        // the persistent backend via `ServerEngine::from_backend`: every
-        // acknowledged message is in the log afterwards, and recovery
-        // rebuilds the full schedule.
-        use faust_store::{Durability, PersistentBackend, PersistentServer, StoreConfig};
-        let n = 2;
-        let dir = faust_store::testutil::scratch_dir("threaded-durable");
-        let config = StoreConfig {
-            durability: Durability::Never,
-            ..StoreConfig::default()
-        };
-        let backend = PersistentBackend::new(&dir, config.clone());
-        let (transport, conns) = channel::pair(n);
-        let engine = ServerEngine::from_backend(n, &backend).expect("fresh store");
-        let engine_thread = spawn_engine_with(engine, transport);
-        let workloads = vec![
-            vec![
-                ThreadedOp::Write(Value::from("d1")),
-                ThreadedOp::Write(Value::from("d2")),
-            ],
-            vec![ThreadedOp::Read(c(0))],
-        ];
-        let report = run_threaded_over(n, workloads, conns, b"durable-threaded", engine_thread);
-        assert!(report.faults.is_empty(), "{:?}", report.faults);
-        assert_eq!(report.completions, vec![2, 1]);
-        // 3 submits + 3 commits were acknowledged, so 6 records are
-        // durable; recovery resumes exactly there.
-        let recovered = PersistentServer::recover(&dir, n, config).expect("clean recovery");
-        assert_eq!(recovered.next_seq(), 6);
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn threaded_runtime_group_commit_amortizes_fsyncs_and_stays_correct() {
-        // The full pipeline under `Durability::Group`: replies are held
-        // until the batch fsync, the serve loop honours the flush
-        // deadline (no deadlock with synchronous clients), every op
-        // completes, and recovery sees every acknowledged record.
-        use faust_store::{Durability, PersistentBackend, PersistentServer, StoreConfig};
-        let n = 3;
-        let dir = faust_store::testutil::scratch_dir("threaded-group");
-        let config = StoreConfig {
-            durability: Durability::Group {
-                max_records: 8,
-                max_wait: Duration::from_millis(2),
-            },
-            snapshot_every: 0,
-        };
-        let backend = PersistentBackend::new(&dir, config.clone());
-        let (transport, conns) = channel::pair(n);
-        let engine = ServerEngine::from_backend(n, &backend).expect("fresh store");
-        let engine_thread = spawn_engine_with(engine, transport);
-        let workloads: Vec<Vec<ThreadedOp>> = (0..n)
-            .map(|i| {
-                (0..5)
-                    .map(|s| {
-                        if s % 2 == 0 {
-                            ThreadedOp::Write(Value::unique(i as u32, s))
-                        } else {
-                            ThreadedOp::Read(c(((i as u32) + 1) % n as u32))
-                        }
-                    })
-                    .collect()
-            })
-            .collect();
-        let report = run_threaded_over(n, workloads, conns, b"group-threaded", engine_thread);
-        assert!(report.faults.is_empty(), "{:?}", report.faults);
-        assert_eq!(report.completions, vec![5; n]);
-        // 15 submits + 15 commits acknowledged ⇒ 30 durable records.
-        let recovered = PersistentServer::recover(&dir, n, config).expect("clean recovery");
-        assert_eq!(recovered.next_seq(), 30);
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn threaded_run_over_tcp_loopback() {
-        // The same runtime, with the engine behind real TCP framing.
-        let n = 3;
-        let transport =
-            faust_net::TcpServerTransport::bind("127.0.0.1:0", n).expect("bind loopback");
-        let addr = transport.local_addr();
-        let engine_thread = spawn_engine(n, Box::new(UstorServer::new(n)), transport);
-        let conns: Vec<ClientConn> = (0..n)
-            .map(|i| faust_net::tcp::connect(addr, c(i as u32)).expect("connect"))
-            .collect();
-        let workloads = (0..n)
-            .map(|i| {
-                vec![
-                    ThreadedOp::Write(Value::unique(i as u32, 0)),
-                    ThreadedOp::Read(c(((i as u32) + 1) % n as u32)),
-                ]
-            })
-            .collect();
-        let report = run_threaded_over(n, workloads, conns, b"tcp-threaded", engine_thread);
-        assert!(report.faults.is_empty(), "{:?}", report.faults);
-        assert_eq!(report.completions, vec![2; 3]);
-        assert_eq!(report.engine_stats.submits, 6);
-    }
 }

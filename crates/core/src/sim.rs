@@ -1,7 +1,10 @@
-//! Deterministic whole-system fault simulator: the full FAUST stack —
-//! many sans-io [`SessionCore`] clients, a [`ServerEngine`] over any
-//! [`Server`] (volatile, persistent, crash-restarting) — inside one
-//! seeded virtual-time event loop, with a fault-plan DSL and oracles.
+//! Deterministic whole-system simulator: the full FAUST stack — many
+//! sans-io [`SessionCore`] clients, a [`ServerEngine`] over any
+//! [`Server`] (volatile, persistent, crash-restarting, or one of the
+//! Byzantine [`Adversary`] servers), both channels of Figure 1 — inside
+//! one seeded virtual-time event loop, with a fault-plan DSL and oracles.
+//! It is the one virtual-time FAUST harness: the tests, the examples and
+//! the experiment tables all describe their runs as a [`SimScenario`].
 //!
 //! This is the scenario-diversity engine in the FoundationDB style: no
 //! threads, no sockets, no wall clock. Everything that happens — message
@@ -33,8 +36,7 @@
 //! released at deterministic ticks.
 
 use crate::client::{FaustClient, FaustConfig, UserOp};
-use crate::driver::FaustWorkloadOp;
-use crate::events::{FailReason, Notification};
+use crate::events::{FailReason, Notification, StabilityCut};
 use crate::handle::{Event as SessionEvent, SessionCore, SessionOutput};
 use crate::offline::OfflineMsg;
 use faust_crypto::sig::KeySet;
@@ -44,7 +46,8 @@ use faust_sim::{
 use faust_store::{
     Durability, LogRecord, PersistentBackend, PersistentServer, SimClock, StoreConfig,
 };
-use faust_types::{ClientId, History, OpId, OpKind, ReplyMsg, UstorMsg, Value, Wire};
+use faust_types::{ClientId, History, OpId, OpKind, ReplyMsg, Timestamp, UstorMsg, Value, Wire};
+use faust_ustor::adversary::{CrashServer, Fig3Server, SplitBrainServer, Tamper, TamperServer};
 use faust_ustor::{CrashRestartServer, MemoryBackend, Server, ServerBackend, ServerEngine};
 use std::collections::{HashMap, VecDeque};
 use std::path::PathBuf;
@@ -115,6 +118,63 @@ pub enum ServerSpec {
         /// Snapshot/rotation threshold (`0` disables auto-snapshots).
         snapshot_every: u64,
     },
+    /// A Byzantine server. The run counts as adversarial from t=0, so
+    /// [`check_oracles`] keeps only the guarantees that hold under any
+    /// server.
+    Byzantine(Adversary),
+}
+
+/// The Byzantine servers of `faust_ustor::adversary`, as plain data so a
+/// scenario stays `Clone + Eq + Debug`. Each builds a fresh server, so
+/// it also serves as the [`ServerBackend`] a crash clause restarts from.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Adversary {
+    /// [`SplitBrainServer`]: one shared world for the first `fork_after`
+    /// SUBMITs, then one forked world per client group.
+    SplitBrain {
+        /// The client groups that end up in separate worlds.
+        groups: Vec<Vec<ClientId>>,
+        /// SUBMITs served before the fork.
+        fork_after: usize,
+    },
+    /// [`Fig3Server`]: the stale-read attack of Figure 3.
+    Fig3 {
+        /// The client whose completed write is hidden.
+        writer: ClientId,
+        /// The client that is shown the stale register.
+        reader: ClientId,
+    },
+    /// [`TamperServer`]: one mutated reply to `victim`.
+    Tamper {
+        /// The client whose reply is mutated.
+        victim: ClientId,
+        /// Total SUBMITs processed before the mutation.
+        after_submits: usize,
+        /// The mutation.
+        kind: Tamper,
+    },
+    /// [`CrashServer`]: stops answering after `after` SUBMITs.
+    Mute {
+        /// SUBMITs answered before the server falls silent.
+        after: usize,
+    },
+}
+
+impl ServerBackend for Adversary {
+    fn build(&self, n: usize) -> std::io::Result<Box<dyn Server + Send>> {
+        Ok(match self {
+            Adversary::SplitBrain { groups, fork_after } => {
+                Box::new(SplitBrainServer::new(n, groups.clone(), *fork_after))
+            }
+            Adversary::Fig3 { writer, reader } => Box::new(Fig3Server::new(n, *writer, *reader)),
+            Adversary::Tamper {
+                victim,
+                after_submits,
+                kind,
+            } => Box::new(TamperServer::new(n, *victim, *after_submits, *kind)),
+            Adversary::Mute { after } => Box::new(CrashServer::new(n, *after)),
+        })
+    }
 }
 
 /// One clause of a fault plan. Clauses target the client↔server **link**
@@ -269,6 +329,46 @@ impl FaultPlan {
 // Scenario
 // ---------------------------------------------------------------------------
 
+/// One step of a scripted FAUST client workload.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum FaustWorkloadOp {
+    /// Write a value to the client's own register.
+    Write(Value),
+    /// Read a register.
+    Read(ClientId),
+    /// Idle for the given number of ticks before the next step.
+    Pause(u64),
+    /// Disconnect from all channels for the given duration (the paper's
+    /// "Carlos is asleep"); buffered traffic is delivered on reconnect.
+    Disconnect(u64),
+    /// Crash (permanently).
+    Crash,
+}
+
+/// Generates a reproducible random FAUST workload (mirrors
+/// `faust_ustor::random_workloads`).
+pub fn random_faust_workloads(
+    n: usize,
+    ops_per_client: usize,
+    write_fraction: f64,
+    seed: u64,
+) -> Vec<Vec<FaustWorkloadOp>> {
+    let mut rng = faust_sim::SmallRng::seed_from_u64(seed);
+    (0..n)
+        .map(|i| {
+            (0..ops_per_client)
+                .map(|seq| {
+                    if rng.gen_bool(write_fraction) {
+                        FaustWorkloadOp::Write(Value::unique(i as u32, seq as u64))
+                    } else {
+                        FaustWorkloadOp::Read(ClientId::new(rng.gen_index(n) as u32))
+                    }
+                })
+                .collect()
+        })
+        .collect()
+}
+
 /// A complete, self-contained description of one simulated run. Equal
 /// scenarios produce bit-identical [`SimRunReport`]s — that is the
 /// reproducibility contract the failure reporter leans on.
@@ -286,10 +386,11 @@ pub struct SimScenario {
     pub deadline: u64,
     /// Client tick period (dummy reads, probe checks).
     pub tick_period: u64,
-    /// Whether clients issue dummy reads when idle (the paper requires
-    /// them for stability and fork detection; scripted scenarios may
-    /// disable them for exact message accounting).
-    pub dummy_reads: bool,
+    /// FAUST layer tuning of every client: probe period, dummy reads
+    /// (the paper requires them for stability and fork detection;
+    /// scripted scenarios may disable them for exact message
+    /// accounting), commit mode and pipeline depth.
+    pub faust: FaustConfig,
     /// Link delay distribution.
     pub link_delay: DelayModel,
     /// Offline-channel delay distribution.
@@ -297,6 +398,24 @@ pub struct SimScenario {
 }
 
 impl SimScenario {
+    /// A fault-free run of `workloads` against a correct volatile server
+    /// until `deadline`: default FAUST tuning, a 25-tick client tick,
+    /// 1-tick links and a 50-tick offline channel. Override the rest with
+    /// struct-update syntax.
+    pub fn new(seed: u64, workloads: Vec<Vec<FaustWorkloadOp>>, deadline: u64) -> Self {
+        SimScenario {
+            seed,
+            workloads,
+            server: ServerSpec::Volatile,
+            plan: FaultPlan::honest(),
+            deadline,
+            tick_period: 25,
+            faust: FaustConfig::default(),
+            link_delay: DelayModel::Fixed(1),
+            offline_delay: DelayModel::Fixed(50),
+        }
+    }
+
     /// Number of clients.
     pub fn n(&self) -> usize {
         self.workloads.len()
@@ -364,6 +483,28 @@ pub struct SimRunReport {
 }
 
 impl SimRunReport {
+    /// The last stability cut `client` reported, if any.
+    pub fn last_cut(&self, client: ClientId) -> Option<StabilityCut> {
+        self.notifications[client.index()]
+            .iter()
+            .rev()
+            .find_map(|(_, n)| match n {
+                Notification::Stable(cut) => Some(cut.clone()),
+                _ => None,
+            })
+    }
+
+    /// The time `client`'s stability entry for `other` first reached
+    /// timestamp `t`, if it did.
+    pub fn stability_time(&self, client: ClientId, other: ClientId, t: Timestamp) -> Option<u64> {
+        self.notifications[client.index()]
+            .iter()
+            .find_map(|(time, n)| match n {
+                Notification::Stable(cut) if cut.w[other.index()] >= t => Some(*time),
+                _ => None,
+            })
+    }
+
     /// Completed user operations of `client`, in order.
     pub fn completions(&self, client: ClientId) -> Vec<crate::events::FaustCompletion> {
         self.notifications[client.index()]
@@ -649,15 +790,14 @@ impl Harness {
         let n = scenario.n();
         let clock = SimClock::new();
         let mut recording = None;
-        let backend: Box<dyn ServerBackend + Send> = match &scenario.server {
-            ServerSpec::Volatile => {
-                let log: SharedRecording = Arc::new(Mutex::new(Vec::new()));
-                recording = Some(log.clone());
-                Box::new(RecordingBackend {
-                    inner: Box::new(MemoryBackend),
-                    log,
-                })
-            }
+        let mut record = |inner: Box<dyn ServerBackend + Send>| -> Box<dyn ServerBackend + Send> {
+            let log: SharedRecording = Arc::new(Mutex::new(Vec::new()));
+            recording = Some(log.clone());
+            Box::new(RecordingBackend { inner, log })
+        };
+        let backend = match &scenario.server {
+            ServerSpec::Volatile => record(Box::new(MemoryBackend)),
+            ServerSpec::Byzantine(adversary) => record(Box::new(adversary.clone())),
             ServerSpec::Persistent {
                 durability,
                 snapshot_every,
@@ -714,10 +854,6 @@ impl Harness {
             n,
             &scenario.seed.to_be_bytes(),
         );
-        let faust_config = FaustConfig {
-            dummy_reads: scenario.dummy_reads,
-            ..FaustConfig::default()
-        };
         let mut sim = Simulation::new(SimConfig {
             seed: scenario.seed,
             link_delay: scenario.link_delay,
@@ -772,7 +908,7 @@ impl Harness {
                         n,
                         keys.keypair(i as u32).expect("generated").clone(),
                         keys.registry(),
-                        faust_config,
+                        scenario.faust,
                     )),
                     script: scenario.workloads[i].iter().cloned().collect(),
                     ticket_ops: HashMap::new(),
@@ -799,12 +935,15 @@ impl Harness {
                     ..
                 }
             ),
-            dummy_reads: scenario.dummy_reads,
+            dummy_reads: scenario.faust.dummy_reads,
             server_bound: 0,
             replies_in_flight: 0,
             wipe_detector: None,
             fork_fired: Vec::new(),
-            dirty_fired: Vec::new(),
+            dirty_fired: match scenario.server {
+                ServerSpec::Byzantine(_) => vec![(0, "byzantine-server")],
+                _ => Vec::new(),
+            },
             flush_timer: None,
             recording,
         }
@@ -1359,8 +1498,8 @@ impl Harness {
 /// a clean slate, which the reproducibility contract requires.
 pub fn run_sim(scenario: &SimScenario) -> SimRunReport {
     let store_dir = match &scenario.server {
-        ServerSpec::Volatile => None,
         ServerSpec::Persistent { .. } => Some(scratch_dir()),
+        ServerSpec::Volatile | ServerSpec::Byzantine(_) => None,
     };
     if let Some(dir) = &store_dir {
         std::fs::remove_dir_all(dir).ok();
@@ -1392,8 +1531,10 @@ pub fn run_sim(scenario: &SimScenario) -> SimRunReport {
 /// * **No false positives**: if no adversarial clause actually fired,
 ///   there must be no failure notification, and no failure may precede
 ///   the first adversarial event; on a structurally benign plan
-///   additionally every user op completes (wait-freedom) and the
-///   history is linearizable.
+///   additionally (and with an honest server) every user op completes
+///   (wait-freedom) and the history is linearizable. A
+///   [`ServerSpec::Byzantine`] run is adversarial from t=0, so only the
+///   checks below that hold under any server apply to it.
 /// * **No false negatives**: every guaranteed-observable fork that fired
 ///   with room to detect (slack before the deadline, and — for crash
 ///   forks — a detector client in position over a quiescent wire, see
@@ -1401,7 +1542,8 @@ pub fn run_sim(scenario: &SimScenario) -> SimRunReport {
 ///   notification.
 /// * **Universal safety**: the completed history is never weak-fork-lin
 ///   *violated* — the paper's guarantee holds under every adversary the
-///   DSL can express.
+///   DSL can express — and the exported history decodes and audits
+///   without error.
 pub fn check_oracles(scenario: &SimScenario, report: &SimRunReport) -> Result<(), String> {
     let adversarial_fired = !report.fork_fired.is_empty() || !report.dirty_fired.is_empty();
 
@@ -1412,7 +1554,8 @@ pub fn check_oracles(scenario: &SimScenario, report: &SimRunReport) -> Result<()
             report.failures
         ));
     }
-    if scenario.plan.is_benign(&scenario.server) {
+    let honest_server = !matches!(scenario.server, ServerSpec::Byzantine(_));
+    if honest_server && scenario.plan.is_benign(&scenario.server) {
         let expected = scenario.user_ops();
         let completed = report.completed_ops();
         if completed != expected {
@@ -1555,6 +1698,8 @@ fn check_audit_agreement(scenario: &SimScenario, report: &SimRunReport) -> Resul
             == Some(WalTamper::WipeState))
         .then_some(report.crash_time)
         .flatten(),
+        // A Byzantine server owes the auditor no consistent schedule.
+        ServerSpec::Byzantine(_) => None,
     };
     if let Some(crash_time) = wiped {
         let completed_before_crash = report.notifications.iter().any(|ns| {
@@ -1614,7 +1759,7 @@ pub fn gen_scenario(seed: u64) -> SimScenario {
     let n = rng.gen_range_inclusive(2, 4) as usize;
     let ops_per_client = rng.gen_range_inclusive(2, 4) as usize;
     let deadline = 6_000;
-    let workloads = crate::driver::random_faust_workloads(n, ops_per_client, 0.6, seed);
+    let workloads = random_faust_workloads(n, ops_per_client, 0.6, seed);
 
     let server = match rng.gen_index(3) {
         0 => ServerSpec::Volatile,
@@ -1693,8 +1838,8 @@ pub fn gen_scenario(seed: u64) -> SimScenario {
         1 => {
             let after_messages = rng.gen_range_inclusive(2, 14) as usize;
             let tamper = match server {
-                ServerSpec::Volatile => WalTamper::None, // volatile restart wipes anyway
                 ServerSpec::Persistent { .. } => WalTamper::WipeState,
+                _ => WalTamper::None, // volatile restart wipes anyway
             };
             clauses.push(FaultClause::CrashRestart(CrashSpec {
                 after_messages,
@@ -1705,10 +1850,10 @@ pub fn gen_scenario(seed: u64) -> SimScenario {
         // what the tail held — universal-safety oracle only).
         2 => {
             let tamper = match server {
-                ServerSpec::Volatile => WalTamper::None,
                 ServerSpec::Persistent { .. } => {
                     WalTamper::TruncateTail(rng.gen_range_inclusive(1, 6) as usize)
                 }
+                _ => WalTamper::None,
             };
             clauses.push(FaultClause::CrashRestart(CrashSpec {
                 after_messages: rng.gen_range_inclusive(4, 16) as usize,
@@ -1746,7 +1891,7 @@ pub fn gen_scenario(seed: u64) -> SimScenario {
         plan: FaultPlan { clauses },
         deadline,
         tick_period: 25,
-        dummy_reads: true,
+        faust: FaustConfig::default(),
         link_delay: DelayModel::Uniform(1, rng.gen_range_inclusive(3, 12)),
         offline_delay: DelayModel::Uniform(20, 80),
     };
@@ -1845,15 +1990,10 @@ mod tests {
 
     fn honest_scenario(seed: u64, server: ServerSpec) -> SimScenario {
         SimScenario {
-            seed,
-            workloads: crate::driver::random_faust_workloads(3, 3, 0.6, seed),
             server,
-            plan: FaultPlan::honest(),
-            deadline: 6_000,
-            tick_period: 25,
-            dummy_reads: true,
             link_delay: DelayModel::Uniform(1, 8),
             offline_delay: DelayModel::Uniform(20, 80),
+            ..SimScenario::new(seed, random_faust_workloads(3, 3, 0.6, seed), 6_000)
         }
     }
 
@@ -1863,6 +2003,42 @@ mod tests {
         let report = run_and_check(&scenario).expect("honest run");
         assert_eq!(report.completed_ops(), scenario.user_ops());
         assert!(report.failures.is_empty());
+        // Every client's last user op becomes stable w.r.t. every client,
+        // through dummy reads and the probe exchange.
+        for i in 0..3 {
+            let last = report
+                .completions(c(i))
+                .last()
+                .expect("ops completed")
+                .timestamp;
+            for j in 0..3 {
+                assert!(
+                    report.stability_time(c(i), c(j), last).is_some(),
+                    "C{i} w.r.t. C{j}: last cut {:?}",
+                    report.last_cut(c(i))
+                );
+            }
+        }
+    }
+
+    /// Identical scenarios yield bit-identical reports — histories,
+    /// notification streams, traffic metrics and exports — against a
+    /// correct and against a Byzantine server alike.
+    #[test]
+    fn fixed_seed_runs_are_bit_identical() {
+        let scenario = |server| SimScenario {
+            server,
+            link_delay: DelayModel::Uniform(1, 9),
+            offline_delay: DelayModel::Uniform(15, 60),
+            ..SimScenario::new(17, random_faust_workloads(3, 5, 0.5, 23), 6_000)
+        };
+        check_determinism(&scenario(ServerSpec::Volatile)).expect("honest rerun");
+        let fork = scenario(ServerSpec::Byzantine(Adversary::SplitBrain {
+            groups: vec![vec![c(0), c(1)], vec![c(2)]],
+            fork_after: 2,
+        }));
+        check_determinism(&fork).expect("Byzantine rerun");
+        assert!(!run_sim(&fork).failures.is_empty(), "the fork is detected");
     }
 
     #[test]

@@ -342,6 +342,7 @@ pub fn run_faust_session(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::handle::HandleConfig;
     use faust_types::Value;
     use faust_ustor::adversary::SplitBrainServer;
     use faust_ustor::UstorServer;
@@ -352,29 +353,145 @@ mod tests {
 
     #[test]
     fn threaded_faust_completes_and_stabilizes() {
-        let workloads = vec![
-            vec![
-                UserOp::Write(Value::from("a1")),
-                UserOp::Write(Value::from("a2")),
-            ],
-            vec![UserOp::Read(c(0))],
-            vec![UserOp::Write(Value::from("c1"))],
+        use faust_store::{Durability, PersistentBackend, PersistentServer, StoreConfig};
+        use faust_ustor::ServerBackend;
+
+        // A volatile server, then durable ones (no fsync, then group
+        // commit, whose held replies the serve loop releases on the
+        // flush deadline).
+        let durable = |name: &str, durability| {
+            let config = StoreConfig {
+                durability,
+                snapshot_every: 0,
+            };
+            Some((faust_store::testutil::scratch_dir(name), config))
+        };
+        let stores = [
+            None,
+            durable("threaded-durable", Durability::Never),
+            durable(
+                "threaded-group",
+                Durability::Group {
+                    max_records: 8,
+                    max_wait: Duration::from_millis(2),
+                },
+            ),
         ];
+        for store in stores {
+            let server: Box<dyn Server + Send> = match &store {
+                None => Box::new(UstorServer::new(3)),
+                Some((dir, config)) => PersistentBackend::new(dir, config.clone())
+                    .build(3)
+                    .expect("fresh store"),
+            };
+            let workloads = vec![
+                vec![
+                    UserOp::Write(Value::from("a1")),
+                    UserOp::Write(Value::from("a2")),
+                ],
+                vec![UserOp::Read(c(0))],
+                vec![UserOp::Write(Value::from("c1"))],
+            ];
+            let report = run_threaded_faust(
+                3,
+                workloads,
+                server,
+                ThreadedFaustConfig::default(),
+                b"threaded-faust",
+            );
+            assert!(report.failures.is_empty(), "{:?}", report.failures);
+            assert_eq!(report.completions(c(0)), 2);
+            assert_eq!(report.completions(c(1)), 1);
+            // Stability spreads: C0's ops become stable w.r.t. everyone.
+            let cut = report.last_cut(c(0)).expect("cuts issued");
+            assert!(
+                cut.iter().all(|&w| w >= 2),
+                "expected full stability, got {cut:?}"
+            );
+            // The engine carried every user op: one SUBMIT and, in
+            // immediate commit mode, one COMMIT each (plus dummy reads).
+            let stats = &report.engine_stats;
+            assert!(stats.submits >= 4 && stats.commits >= 4, "{stats:?}");
+            if let Some((dir, config)) = store {
+                // Every acknowledged message is in the log, and recovery
+                // resumes exactly after it.
+                let recovered = PersistentServer::recover(&dir, 3, config).expect("clean recovery");
+                assert_eq!(recovered.next_seq(), stats.submits + stats.commits);
+                std::fs::remove_dir_all(&dir).ok();
+            }
+        }
+
+        // Heavy interleaving: eight clients, 25 ops each, every third a
+        // read of the neighbour's register.
+        let n = 8;
+        let heavy = (0..n as u32)
+            .map(|i| {
+                (0..25)
+                    .map(|s| {
+                        if s % 3 == 0 {
+                            UserOp::Read(c((i + 1) % n as u32))
+                        } else {
+                            UserOp::Write(Value::unique(i, s))
+                        }
+                    })
+                    .collect()
+            })
+            .collect();
         let report = run_threaded_faust(
-            3,
-            workloads,
-            Box::new(UstorServer::new(3)),
-            ThreadedFaustConfig::default(),
-            b"threaded-faust",
+            n,
+            heavy,
+            Box::new(UstorServer::new(n)),
+            ThreadedFaustConfig {
+                run_for: Duration::from_millis(1500),
+                ..ThreadedFaustConfig::default()
+            },
+            b"heavy",
         );
         assert!(report.failures.is_empty(), "{:?}", report.failures);
-        assert_eq!(report.completions(c(0)), 2);
-        assert_eq!(report.completions(c(1)), 1);
-        // Stability spreads: C0's ops become stable w.r.t. everyone.
-        let cut = report.last_cut(c(0)).expect("cuts issued");
+        for i in 0..n as u32 {
+            assert_eq!(report.completions(c(i)), 25, "client {i}");
+        }
+    }
+
+    /// Wait-freedom in wall-clock time: C1 sleeps 300 ms between its two
+    /// writes, and C0's 20 sequential writes must not take anywhere near
+    /// that long — the server answers each SUBMIT without waiting for
+    /// anybody's COMMIT.
+    #[test]
+    fn slow_client_does_not_delay_fast_clients() {
+        let n = 2;
+        let (transport, conns) = channel::pair(n);
+        let engine = crate::runtime::spawn_engine(n, Box::new(UstorServer::new(n)), transport);
+        let timeout = Duration::from_secs(5);
+        let mut handles = conns.into_iter().enumerate().map(|(i, conn)| {
+            FaustHandle::new(
+                c(i as u32),
+                n,
+                b"slow-test",
+                &HandleConfig::default(),
+                Box::new(conn),
+            )
+        });
+        let (mut fast, mut slow) = (handles.next().unwrap(), handles.next().unwrap());
+        let slow_thread = std::thread::spawn(move || {
+            let first = slow.write(Value::unique(1, 0));
+            slow.wait(first, timeout).expect("first slow write");
+            std::thread::sleep(Duration::from_millis(300));
+            let second = slow.write(Value::unique(1, 1));
+            slow.wait(second, timeout).expect("second slow write");
+        });
+        let begun = std::time::Instant::now();
+        for i in 0..20 {
+            let ticket = fast.write(Value::unique(0, i));
+            fast.wait(ticket, timeout).expect("fast write");
+        }
+        let elapsed = begun.elapsed();
+        slow_thread.join().expect("slow client thread");
+        drop(fast);
+        engine.join().expect("engine thread");
         assert!(
-            cut.iter().all(|&w| w >= 2),
-            "expected full stability, got {cut:?}"
+            elapsed < Duration::from_millis(200),
+            "wait-freedom violated: fast client took {elapsed:?}"
         );
     }
 

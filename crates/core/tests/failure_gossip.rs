@@ -3,11 +3,13 @@
 //! the detector never talks to again, and even when the detector crashes
 //! immediately after broadcasting (the offline channel is reliable).
 
-use faust_core::{FaustConfig, FaustDriver, FaustDriverConfig, FaustWorkloadOp};
-use faust_sim::{DelayModel, SimConfig};
+use faust_core::{
+    random_faust_workloads, run_sim, Adversary, FaustConfig, FaustWorkloadOp, ServerSpec,
+    SimScenario,
+};
+use faust_sim::DelayModel;
 use faust_types::{ClientId, Value};
-use faust_ustor::adversary::{Tamper, TamperServer};
-use faust_ustor::UstorServer;
+use faust_ustor::adversary::Tamper;
 
 fn c(i: u32) -> ClientId {
     ClientId::new(i)
@@ -17,19 +19,23 @@ fn c(i: u32) -> ClientId {
 #[test]
 fn one_detection_halts_everyone() {
     let n = 5;
-    let server = TamperServer::new(n, c(2), 3, Tamper::CorruptCommitSig);
-    let mut driver = FaustDriver::new(n, Box::new(server), FaustDriverConfig::default(), b"gossip");
-    for i in 0..n as u32 {
-        driver.push_ops(
-            c(i),
+    let workloads = (0..n as u32)
+        .map(|i| {
             vec![
                 FaustWorkloadOp::Write(Value::unique(i, 1)),
                 FaustWorkloadOp::Pause(40),
                 FaustWorkloadOp::Write(Value::unique(i, 2)),
-            ],
-        );
-    }
-    let result = driver.run_until(30_000);
+            ]
+        })
+        .collect();
+    let result = run_sim(&SimScenario {
+        server: ServerSpec::Byzantine(Adversary::Tamper {
+            victim: c(2),
+            after_submits: 3,
+            kind: Tamper::CorruptCommitSig,
+        }),
+        ..SimScenario::new(0, workloads, 30_000)
+    });
     assert_eq!(
         result.failures.len(),
         n,
@@ -48,35 +54,28 @@ fn one_detection_halts_everyone() {
 /// still reaches everyone (reliable offline channel).
 #[test]
 fn detector_crash_does_not_lose_the_alarm() {
-    let n = 3;
-    let server = TamperServer::new(n, c(0), 1, Tamper::CorruptCommitSig);
-    let mut driver = FaustDriver::new(
-        n,
-        Box::new(server),
-        FaustDriverConfig {
-            sim: SimConfig {
-                seed: 4,
-                link_delay: DelayModel::Fixed(2),
-                offline_delay: DelayModel::Fixed(40),
-            },
-            ..FaustDriverConfig::default()
-        },
-        b"gossip-crash",
-    );
     // C0 triggers the tamper with its second op, then crashes. The crash
     // lands after detection (the FAILURE messages are already in flight)
     // but long before delivery (offline delay 40).
-    driver.push_ops(
-        c(0),
+    let workloads = vec![
         vec![
             FaustWorkloadOp::Write(Value::unique(0, 1)),
             FaustWorkloadOp::Write(Value::unique(0, 2)),
             FaustWorkloadOp::Crash,
         ],
-    );
-    driver.push_op(c(1), FaustWorkloadOp::Write(Value::unique(1, 1)));
-    driver.push_op(c(2), FaustWorkloadOp::Write(Value::unique(2, 1)));
-    let result = driver.run_until(30_000);
+        vec![FaustWorkloadOp::Write(Value::unique(1, 1))],
+        vec![FaustWorkloadOp::Write(Value::unique(2, 1))],
+    ];
+    let result = run_sim(&SimScenario {
+        server: ServerSpec::Byzantine(Adversary::Tamper {
+            victim: c(0),
+            after_submits: 1,
+            kind: Tamper::CorruptCommitSig,
+        }),
+        link_delay: DelayModel::Fixed(2),
+        offline_delay: DelayModel::Fixed(40),
+        ..SimScenario::new(4, workloads, 30_000)
+    });
     // C0 detected (and is now crashed); C1 and C2 must still have been
     // alerted by the in-flight broadcast.
     assert!(
@@ -91,31 +90,15 @@ fn detector_crash_does_not_lose_the_alarm() {
 #[test]
 fn aggressive_probing_stays_accurate() {
     let n = 4;
-    let mut driver = FaustDriver::new(
-        n,
-        Box::new(UstorServer::new(n)),
-        FaustDriverConfig {
-            sim: SimConfig {
-                seed: 9,
-                link_delay: DelayModel::Uniform(1, 30),
-                offline_delay: DelayModel::Uniform(1, 10),
-            },
-            faust: FaustConfig {
-                probe_period: 10, // probe constantly
-                dummy_reads: true,
-                commit_mode: faust_ustor::CommitMode::Immediate,
-                pipeline: 1,
-            },
-            tick_period: 5,
+    let result = run_sim(&SimScenario {
+        tick_period: 5,
+        faust: FaustConfig {
+            probe_period: 10, // probe constantly
+            ..FaustConfig::default()
         },
-        b"aggressive",
-    );
-    for (i, w) in faust_core::random_faust_workloads(n, 6, 0.5, 13)
-        .into_iter()
-        .enumerate()
-    {
-        driver.push_ops(c(i as u32), w);
-    }
-    let result = driver.run_until(5_000);
+        link_delay: DelayModel::Uniform(1, 30),
+        offline_delay: DelayModel::Uniform(1, 10),
+        ..SimScenario::new(9, random_faust_workloads(n, 6, 0.5, 13), 5_000)
+    });
     assert!(result.failures.is_empty(), "{:?}", result.failures);
 }

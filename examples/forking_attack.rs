@@ -15,7 +15,7 @@ use faust::consistency::{
     check_causal_consistency, check_fork_linearizability, check_linearizability,
     check_weak_fork_linearizability, Budget,
 };
-use faust::core::{FaustDriver, FaustDriverConfig, FaustWorkloadOp};
+use faust::core::{run_sim, Adversary, FaustWorkloadOp, ServerSpec, SimScenario};
 use faust::sim::SimConfig;
 use faust::types::{ClientId, Value};
 use faust::ustor::adversary::Fig3Server;
@@ -89,22 +89,21 @@ fn main() {
 
     println!("\n══ Part 2: the same attack against FAUST ══\n");
 
-    let mut driver = FaustDriver::new(
-        2,
-        Box::new(Fig3Server::new(2, c(0), c(1))),
-        FaustDriverConfig::default(),
-        b"fig3-faust",
-    );
-    driver.push_op(c(0), FaustWorkloadOp::Write(Value::from("u")));
-    driver.push_ops(
-        c(1),
+    let workloads = vec![
+        vec![FaustWorkloadOp::Write(Value::from("u"))],
         vec![
             FaustWorkloadOp::Pause(50),
             FaustWorkloadOp::Read(c(0)),
             FaustWorkloadOp::Read(c(0)),
         ],
-    );
-    let result = driver.run_until(30_000);
+    ];
+    let result = run_sim(&SimScenario {
+        server: ServerSpec::Byzantine(Adversary::Fig3 {
+            writer: c(0),
+            reader: c(1),
+        }),
+        ..SimScenario::new(0, workloads, 30_000)
+    });
 
     for (client, reason) in &result.failures {
         let time = result

@@ -12,10 +12,9 @@
 //!
 //! Run with: `cargo run --example shared_doc`
 
-use faust::core::{FaustConfig, FaustDriver, FaustDriverConfig, FaustWorkloadOp, Notification};
-use faust::sim::{DelayModel, SimConfig};
+use faust::core::{run_sim, FaustConfig, FaustWorkloadOp, Notification, SimScenario};
+use faust::sim::DelayModel;
 use faust::types::{ClientId, Value};
-use faust::ustor::UstorServer;
 
 const AUTHORS: [&str; 3] = ["ana", "bruno", "chen"];
 
@@ -29,35 +28,13 @@ fn log_value(author: usize, edits: &[&str]) -> Value {
 }
 
 fn main() {
-    let n = 3;
-    let mut driver = FaustDriver::new(
-        n,
-        Box::new(UstorServer::new(n)),
-        FaustDriverConfig {
-            sim: SimConfig {
-                seed: 7,
-                link_delay: DelayModel::Fixed(2),
-                offline_delay: DelayModel::Fixed(30),
-            },
-            faust: FaustConfig {
-                probe_period: 300,
-                dummy_reads: true,
-                commit_mode: faust::ustor::CommitMode::Immediate,
-                pipeline: 1,
-            },
-            tick_period: 25,
-        },
-        b"shared-doc",
-    );
-
     // Ana drafts the intro, Bruno the middle, Chen the conclusion; each
     // also reads the others' sections while working.
     let ana = ClientId::new(0);
     let bruno = ClientId::new(1);
-    let chen = ClientId::new(2);
 
-    driver.push_ops(
-        ana,
+    let workloads = vec![
+        // Ana
         vec![
             FaustWorkloadOp::Write(log_value(0, &["# Shared design doc"])),
             FaustWorkloadOp::Write(log_value(
@@ -75,9 +52,7 @@ fn main() {
                 ],
             )),
         ],
-    );
-    driver.push_ops(
-        bruno,
+        // Bruno
         vec![
             FaustWorkloadOp::Pause(20),
             FaustWorkloadOp::Write(log_value(1, &["## Protocol: USTOR, one round/op"])),
@@ -90,18 +65,24 @@ fn main() {
                 ],
             )),
         ],
-    );
-    driver.push_ops(
-        chen,
+        // Chen
         vec![
             FaustWorkloadOp::Pause(40),
             FaustWorkloadOp::Read(ana),
             FaustWorkloadOp::Read(bruno),
             FaustWorkloadOp::Write(log_value(2, &["## Conclusion: trust, but verify"])),
         ],
-    );
+    ];
 
-    let result = driver.run_until(5_000);
+    let result = run_sim(&SimScenario {
+        faust: FaustConfig {
+            probe_period: 300,
+            ..FaustConfig::default()
+        },
+        link_delay: DelayModel::Fixed(2),
+        offline_delay: DelayModel::Fixed(30),
+        ..SimScenario::new(7, workloads, 5_000)
+    });
     assert!(result.failures.is_empty(), "provider was honest");
 
     // Assemble the final document from each author's last write.

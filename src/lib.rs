@@ -32,13 +32,12 @@
 //!   bit-reproducible)                    per client)
 //! ```
 //!
-//! One engine code path serves all four: the simulation drivers
+//! One engine code path serves all four: the simulators
 //! ([`ustor::Driver`],
-//! [`core::FaustDriver`]) pump it through the
-//! queue transport inside virtual time, while the threaded runtimes
-//! ([`core::runtime`],
-//! [`core::threaded_faust`]) put it behind a
-//! channel or a real loopback-TCP listener. Client threads hold a
+//! [`core::sim`]) pump it inside virtual time, while
+//! [`core::runtime`] spawns it on a thread behind a channel or a real
+//! loopback-TCP listener for [`core::FaustHandle`] clients
+//! ([`core::threaded_faust`] runs a whole deployment of them). Client threads hold a
 //! transport-independent [`net::ClientConn`].
 //!
 //! Messages are encoded by the hand-rolled, byte-exact codec in

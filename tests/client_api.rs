@@ -1,11 +1,11 @@
 //! Acceptance tests for the public fail-aware client API: everything
 //! here drives [`faust::client::FaustHandle`] / [`Event`] only — no
-//! driver internals, no direct `ServerEngine` access on the client side.
+//! simulator internals, no direct `ServerEngine` access on the client side.
 //!
 //! * A seeded property: a pipelined handle deployment over the channel
 //!   transport completes the same operations (kinds, targets,
 //!   fail-aware timestamps) and converges to the same stability cuts as
-//!   the equivalent `FaustDriver` script in deterministic simulation.
+//!   the equivalent script in deterministic simulation (`run_sim`).
 //! * A kill-and-restart end-to-end over real TCP with persistence and
 //!   group commit: an honest restart is invisible through the handle
 //!   (reconnect, cross-restart read), while a truncated log surfaces as
@@ -14,9 +14,7 @@
 
 use faust::client::{offline_mesh, Event, FaustHandle, HandleConfig, WaitError};
 use faust::core::runtime::spawn_engine;
-use faust::core::{
-    random_faust_workloads, FaustConfig, FaustDriver, FaustDriverConfig, FaustWorkloadOp,
-};
+use faust::core::{random_faust_workloads, run_sim, FaustConfig, FaustWorkloadOp, SimScenario};
 use faust::sim::SmallRng;
 use faust::store::log::{Wal, WAL_FILE};
 use faust::store::{
@@ -41,18 +39,9 @@ fn pipelined_handles_match_the_driver_script() {
     for seed in 0..2u64 {
         let workloads = random_faust_workloads(n, ops_per_client as usize, 0.5, seed);
 
-        // Reference: the deterministic simulation driver on the same
-        // script, run to quiescence and full stability.
-        let mut driver = FaustDriver::new(
-            n,
-            Box::new(UstorServer::new(n)),
-            FaustDriverConfig::default(),
-            b"client-api-prop",
-        );
-        for (i, w) in workloads.clone().into_iter().enumerate() {
-            driver.push_ops(c(i as u32), w);
-        }
-        let reference = driver.run_until(60_000);
+        // Reference: the deterministic simulation of the same script,
+        // run to quiescence and full stability.
+        let reference = run_sim(&SimScenario::new(seed, workloads.clone(), 60_000));
         assert!(reference.failures.is_empty(), "seed {seed}");
         let reference_facts: Vec<CompletionFacts> = (0..n)
             .map(|i| {
@@ -72,7 +61,7 @@ fn pipelined_handles_match_the_driver_script() {
         for i in 0..n {
             assert!(
                 user_stable(&reference.last_cut(c(i as u32)).expect("cuts issued").w),
-                "seed {seed}: driver reaches full user-op stability"
+                "seed {seed}: the simulation reaches full user-op stability"
             );
         }
 
@@ -143,7 +132,7 @@ fn pipelined_handles_match_the_driver_script() {
             let (facts, cut) = worker.join().expect("client thread");
             assert_eq!(
                 facts, reference_facts[i],
-                "seed {seed}: client {i} completions must match the driver"
+                "seed {seed}: client {i} completions must match the simulation"
             );
             assert!(
                 user_stable(&cut.w),

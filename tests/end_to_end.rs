@@ -7,11 +7,13 @@ use faust::consistency::{
     check_causal_consistency, check_fork_linearizability, check_linearizability,
     check_weak_fork_linearizability, Budget, Verdict,
 };
-use faust::core::{FaustConfig, FaustDriver, FaustDriverConfig, FaustWorkloadOp, Notification};
+use faust::core::{
+    check_oracles, random_faust_workloads, run_sim, Adversary, FaustConfig, FaustWorkloadOp,
+    Notification, ServerSpec, SimScenario,
+};
 use faust::sim::{DelayModel, SimConfig};
 use faust::types::{ClientId, Value};
-use faust::ustor::adversary::{CrashServer, Fig3Server, SplitBrainServer, Tamper, TamperServer};
-use faust::ustor::UstorServer;
+use faust::ustor::adversary::Tamper;
 
 fn c(i: u32) -> ClientId {
     ClientId::new(i)
@@ -25,27 +27,7 @@ fn figure_2_stability_cut() {
     const BOB: ClientId = ClientId::new(1);
     const CARLOS: ClientId = ClientId::new(2);
 
-    let mut driver = FaustDriver::new(
-        3,
-        Box::new(UstorServer::new(3)),
-        FaustDriverConfig {
-            sim: SimConfig {
-                seed: 2,
-                link_delay: DelayModel::Fixed(1),
-                offline_delay: DelayModel::Fixed(20),
-            },
-            faust: FaustConfig {
-                probe_period: 2_000,
-                dummy_reads: false,
-                commit_mode: faust::ustor::CommitMode::Immediate,
-                pipeline: 1,
-            },
-            tick_period: 25,
-        },
-        b"figure-2",
-    );
-    driver.push_ops(
-        ALICE,
+    let workloads = vec![
         vec![
             FaustWorkloadOp::Write(Value::from("alice rev 1")),
             FaustWorkloadOp::Write(Value::from("alice rev 2")),
@@ -60,21 +42,22 @@ fn figure_2_stability_cut() {
             FaustWorkloadOp::Read(BOB),
             FaustWorkloadOp::Write(Value::from("alice rev 8")),
         ],
-    );
-    driver.push_ops(
-        BOB,
         vec![FaustWorkloadOp::Pause(230), FaustWorkloadOp::Read(ALICE)],
-    );
-    driver.push_ops(
-        CARLOS,
         vec![
             FaustWorkloadOp::Pause(55),
             FaustWorkloadOp::Read(ALICE),
             FaustWorkloadOp::Disconnect(8_000),
         ],
-    );
-
-    let result = driver.run_until(30_000);
+    ];
+    let result = run_sim(&SimScenario {
+        faust: FaustConfig {
+            probe_period: 2_000,
+            dummy_reads: false,
+            ..FaustConfig::default()
+        },
+        offline_delay: DelayModel::Fixed(20),
+        ..SimScenario::new(2, workloads, 30_000)
+    });
     assert!(result.failures.is_empty(), "{:?}", result.failures);
 
     let cuts: Vec<Vec<u64>> = result.notifications[ALICE.index()]
@@ -108,26 +91,11 @@ fn figure_2_stability_cut() {
 fn faust_correct_server_properties() {
     let budget = Budget::default();
     for seed in 0..5 {
-        let mut driver = FaustDriver::new(
-            3,
-            Box::new(UstorServer::new(3)),
-            FaustDriverConfig {
-                sim: SimConfig {
-                    seed,
-                    link_delay: DelayModel::Uniform(1, 10),
-                    offline_delay: DelayModel::Uniform(20, 60),
-                },
-                ..FaustDriverConfig::default()
-            },
-            b"e2e-correct",
-        );
-        for (i, w) in faust::core::random_faust_workloads(3, 5, 0.5, seed)
-            .into_iter()
-            .enumerate()
-        {
-            driver.push_ops(c(i as u32), w);
-        }
-        let result = driver.run_until(20_000);
+        let result = run_sim(&SimScenario {
+            link_delay: DelayModel::Uniform(1, 10),
+            offline_delay: DelayModel::Uniform(20, 60),
+            ..SimScenario::new(seed, random_faust_workloads(3, 5, 0.5, seed), 20_000)
+        });
         assert!(result.failures.is_empty(), "seed {seed}");
         let incomplete = result
             .history
@@ -146,58 +114,80 @@ fn faust_correct_server_properties() {
 
 /// Every adversary type ends in either detection or, for pure liveness
 /// attacks, silence — never a false accusation and never an undetected
-/// *consistency* violation.
+/// *consistency* violation. Every run also passes the simulator's
+/// oracles: views stay weakly fork-linearizable and the exported history
+/// decodes and audits under every adversary.
 #[test]
 fn adversary_matrix() {
-    // (server, expect_detection)
-    let cases: Vec<(Box<dyn faust::ustor::Server + Send>, bool, &str)> = vec![
+    let byzantine = ServerSpec::Byzantine;
+    let cases = [
         (
-            Box::new(SplitBrainServer::new(
-                3,
-                vec![vec![c(0)], vec![c(1), c(2)]],
-                0,
-            )),
+            byzantine(Adversary::SplitBrain {
+                groups: vec![vec![c(0)], vec![c(1), c(2)]],
+                fork_after: 0,
+            }),
             true,
             "split-brain",
         ),
-        (Box::new(Fig3Server::new(3, c(0), c(1))), true, "fig3"),
         (
-            Box::new(TamperServer::new(3, c(1), 1, Tamper::CorruptCommitSig)),
+            byzantine(Adversary::Fig3 {
+                writer: c(0),
+                reader: c(1),
+            }),
+            true,
+            "fig3",
+        ),
+        (
+            byzantine(Adversary::Tamper {
+                victim: c(1),
+                after_submits: 1,
+                kind: Tamper::CorruptCommitSig,
+            }),
             true,
             "corrupt-commit-sig",
         ),
         (
-            Box::new(TamperServer::new(
-                3,
-                c(1),
-                2,
-                Tamper::RegressToInitialVersion,
-            )),
+            byzantine(Adversary::Tamper {
+                victim: c(1),
+                after_submits: 2,
+                kind: Tamper::RegressToInitialVersion,
+            }),
             true,
             "regress-version",
         ),
-        (Box::new(CrashServer::new(3, 4)), false, "mute-server"),
-        (Box::new(UstorServer::new(3)), false, "correct"),
+        (
+            byzantine(Adversary::Mute { after: 4 }),
+            false,
+            "mute-server",
+        ),
+        (ServerSpec::Volatile, false, "correct"),
     ];
     for (server, expect_detection, name) in cases {
-        let mut driver =
-            FaustDriver::new(3, server, FaustDriverConfig::default(), b"adversary-matrix");
-        for i in 0..3u32 {
-            driver.push_ops(
-                c(i),
+        let workloads = (0..3u32)
+            .map(|i| {
                 vec![
                     FaustWorkloadOp::Write(Value::unique(i, 1)),
                     FaustWorkloadOp::Pause(30 * (i as u64 + 1)),
                     FaustWorkloadOp::Read(c((i + 1) % 3)),
                     FaustWorkloadOp::Write(Value::unique(i, 2)),
-                ],
-            );
+                ]
+            })
+            .collect();
+        let scenario = SimScenario {
+            server,
+            ..SimScenario::new(0, workloads, 30_000)
+        };
+        let result = run_sim(&scenario);
+        if let Err(violation) = check_oracles(&scenario, &result) {
+            panic!("{name}: {violation}");
         }
-        let result = driver.run_until(30_000);
         if expect_detection {
-            assert!(
-                !result.failures.is_empty(),
-                "{name}: expected detection, got none"
+            // Detection by one client reaches every client.
+            assert_eq!(
+                result.failures.len(),
+                3,
+                "{name}: expected every client to detect, got {:?}",
+                result.failures
             );
         } else {
             assert!(
@@ -254,34 +244,29 @@ fn lockstep_histories_linearizable() {
 #[test]
 fn forked_faust_histories_meet_the_guarantees() {
     let budget = Budget::default();
-    let server = SplitBrainServer::new(4, vec![vec![c(0), c(1)], vec![c(2), c(3)]], 2);
-    let mut driver = FaustDriver::new(
-        4,
-        Box::new(server),
-        FaustDriverConfig {
-            faust: FaustConfig {
-                // Long probe period: the user ops complete before
-                // detection halts the clients.
-                probe_period: 5_000,
-                dummy_reads: false,
-                commit_mode: faust::ustor::CommitMode::Immediate,
-                pipeline: 1,
-            },
-            ..FaustDriverConfig::default()
-        },
-        b"fork-guarantees",
-    );
-    for i in 0..4u32 {
-        driver.push_ops(
-            c(i),
+    let workloads = (0..4u32)
+        .map(|i| {
             vec![
                 FaustWorkloadOp::Write(Value::unique(i, 1)),
                 FaustWorkloadOp::Pause(20),
                 FaustWorkloadOp::Read(c((i + 1) % 4)),
-            ],
-        );
-    }
-    let result = driver.run_until(2_000);
+            ]
+        })
+        .collect();
+    let result = run_sim(&SimScenario {
+        server: ServerSpec::Byzantine(Adversary::SplitBrain {
+            groups: vec![vec![c(0), c(1)], vec![c(2), c(3)]],
+            fork_after: 2,
+        }),
+        faust: FaustConfig {
+            // Long probe period: the user ops complete before
+            // detection halts the clients.
+            probe_period: 5_000,
+            dummy_reads: false,
+            ..FaustConfig::default()
+        },
+        ..SimScenario::new(0, workloads, 2_000)
+    });
     assert_eq!(
         check_causal_consistency(&result.history, &budget),
         Verdict::Satisfied,
@@ -300,27 +285,13 @@ fn forked_faust_histories_meet_the_guarantees() {
 #[test]
 fn faust_with_piggybacked_commits() {
     let budget = Budget::default();
-    let mut driver = FaustDriver::new(
-        3,
-        Box::new(UstorServer::new(3)),
-        FaustDriverConfig {
-            faust: FaustConfig {
-                probe_period: 200,
-                dummy_reads: true,
-                commit_mode: faust::ustor::CommitMode::Piggyback,
-                pipeline: 1,
-            },
-            ..FaustDriverConfig::default()
+    let result = run_sim(&SimScenario {
+        faust: FaustConfig {
+            commit_mode: faust::ustor::CommitMode::Piggyback,
+            ..FaustConfig::default()
         },
-        b"faust-piggyback",
-    );
-    for (i, w) in faust::core::random_faust_workloads(3, 5, 0.5, 9)
-        .into_iter()
-        .enumerate()
-    {
-        driver.push_ops(c(i as u32), w);
-    }
-    let result = driver.run_until(10_000);
+        ..SimScenario::new(0, random_faust_workloads(3, 5, 0.5, 9), 10_000)
+    });
     assert!(result.failures.is_empty(), "{:?}", result.failures);
     let incomplete = result
         .history
@@ -344,23 +315,20 @@ fn faust_with_piggybacked_commits() {
 /// A fork is still detected when commits are piggybacked.
 #[test]
 fn piggybacked_faust_still_detects_forks() {
-    let server = SplitBrainServer::new(2, vec![vec![c(0)], vec![c(1)]], 0);
-    let mut driver = FaustDriver::new(
-        2,
-        Box::new(server),
-        FaustDriverConfig {
-            faust: FaustConfig {
-                probe_period: 200,
-                dummy_reads: true,
-                commit_mode: faust::ustor::CommitMode::Piggyback,
-                pipeline: 1,
-            },
-            ..FaustDriverConfig::default()
+    let workloads = vec![
+        vec![FaustWorkloadOp::Write(Value::from("a"))],
+        vec![FaustWorkloadOp::Write(Value::from("b"))],
+    ];
+    let result = run_sim(&SimScenario {
+        server: ServerSpec::Byzantine(Adversary::SplitBrain {
+            groups: vec![vec![c(0)], vec![c(1)]],
+            fork_after: 0,
+        }),
+        faust: FaustConfig {
+            commit_mode: faust::ustor::CommitMode::Piggyback,
+            ..FaustConfig::default()
         },
-        b"piggyback-fork",
-    );
-    driver.push_op(c(0), FaustWorkloadOp::Write(Value::from("a")));
-    driver.push_op(c(1), FaustWorkloadOp::Write(Value::from("b")));
-    let result = driver.run_until(20_000);
+        ..SimScenario::new(0, workloads, 20_000)
+    });
     assert_eq!(result.failures.len(), 2, "{:?}", result.failures);
 }

@@ -5,10 +5,12 @@
 //! seeded [`SmallRng`], so a failure reproduces exactly by case number.
 
 use faust::consistency::{check_linearizability, check_wait_freedom, Budget, Verdict};
-use faust::core::{FaustDriver, FaustDriverConfig, FaustWorkloadOp, Notification};
+use faust::core::{
+    check_oracles, random_faust_workloads, run_sim, Adversary, FaustWorkloadOp, Notification,
+    ServerSpec, SimScenario,
+};
 use faust::sim::{DelayModel, SimConfig, SmallRng};
 use faust::types::{ClientId, Value};
-use faust::ustor::adversary::SplitBrainServer;
 use faust::ustor::{random_workloads, Driver, UstorServer};
 
 fn c(i: u32) -> ClientId {
@@ -60,26 +62,11 @@ fn faust_timestamps_and_cuts_monotone() {
         let mut rng = SmallRng::seed_from_u64(0x0DD5 ^ case);
         let seed = rng.gen_range_inclusive(0, 1_999);
         let n = 3;
-        let mut driver = FaustDriver::new(
-            n,
-            Box::new(UstorServer::new(n)),
-            FaustDriverConfig {
-                sim: SimConfig {
-                    seed,
-                    link_delay: DelayModel::Uniform(1, 10),
-                    offline_delay: DelayModel::Uniform(10, 40),
-                },
-                ..FaustDriverConfig::default()
-            },
-            b"prop-monotone",
-        );
-        for (i, w) in faust::core::random_faust_workloads(n, 4, 0.5, seed)
-            .into_iter()
-            .enumerate()
-        {
-            driver.push_ops(c(i as u32), w);
-        }
-        let result = driver.run_until(8_000);
+        let result = run_sim(&SimScenario {
+            link_delay: DelayModel::Uniform(1, 10),
+            offline_delay: DelayModel::Uniform(10, 40),
+            ..SimScenario::new(seed, random_faust_workloads(n, 4, 0.5, seed), 8_000)
+        });
         assert!(result.failures.is_empty(), "case {case}");
         for i in 0..n {
             let mut last_stamp = 0;
@@ -112,33 +99,33 @@ fn forks_always_detected() {
         let seed = rng.gen_range_inclusive(0, 1_999);
         let fork_after = rng.gen_index(6);
         let n = 4;
-        let server = SplitBrainServer::new(n, vec![vec![c(0), c(1)], vec![c(2), c(3)]], fork_after);
-        let mut driver = FaustDriver::new(
-            n,
-            Box::new(server),
-            FaustDriverConfig {
-                sim: SimConfig {
-                    seed,
-                    link_delay: DelayModel::Uniform(1, 10),
-                    offline_delay: DelayModel::Uniform(10, 60),
-                },
-                ..FaustDriverConfig::default()
-            },
-            b"prop-detect",
-        );
         // Every client keeps writing so both branches make progress.
-        for i in 0..n as u32 {
-            for s in 0..3 {
-                driver.push_ops(
-                    c(i),
-                    vec![
-                        FaustWorkloadOp::Write(Value::unique(i, s)),
-                        FaustWorkloadOp::Pause(40),
-                    ],
-                );
-            }
+        let workloads = (0..n as u32)
+            .map(|i| {
+                (0..3)
+                    .flat_map(|s| {
+                        [
+                            FaustWorkloadOp::Write(Value::unique(i, s)),
+                            FaustWorkloadOp::Pause(40),
+                        ]
+                    })
+                    .collect()
+            })
+            .collect();
+        let scenario = SimScenario {
+            server: ServerSpec::Byzantine(Adversary::SplitBrain {
+                groups: vec![vec![c(0), c(1)], vec![c(2), c(3)]],
+                fork_after,
+            }),
+            link_delay: DelayModel::Uniform(1, 10),
+            offline_delay: DelayModel::Uniform(10, 60),
+            ..SimScenario::new(seed, workloads, 60_000)
+        };
+        let result = run_sim(&scenario);
+        // Views stay weakly fork-linearizable and the export audits.
+        if let Err(violation) = check_oracles(&scenario, &result) {
+            panic!("case {case}, seed {seed}, fork_after {fork_after}: {violation}");
         }
-        let result = driver.run_until(60_000);
         for i in 0..n {
             assert!(
                 result.failure_time(c(i as u32)).is_some(),

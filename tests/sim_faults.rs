@@ -185,7 +185,10 @@ fn kill_restart_scenario() -> SimScenario {
         tick_period: 25,
         // Like the threaded twin: no dummy reads, so phases are exactly
         // the scripted messages and the kill point is quiescent.
-        dummy_reads: false,
+        faust: FaustConfig {
+            dummy_reads: false,
+            ..FaustConfig::default()
+        },
         link_delay: DelayModel::Uniform(1, 6),
         offline_delay: DelayModel::Uniform(20, 80),
     }
@@ -372,7 +375,7 @@ fn auditor_certifies_honest_runs() {
 fn auditor_diverges_on_wiped_state() {
     let mut scenario = kill_restart_scenario();
     scenario.server = ServerSpec::Volatile;
-    scenario.dummy_reads = true;
+    scenario.faust.dummy_reads = true;
     let report = run_sim(&scenario);
     let crash_time = report.crash_time.expect("the crash must fire");
     let completed_before_crash = report.notifications.iter().any(|ns| {

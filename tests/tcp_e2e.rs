@@ -104,90 +104,60 @@ fn forked_server_over_tcp_is_detected_by_every_client() {
     );
 }
 
-#[test]
-fn ed25519_ingress_verification_serves_tcp_clients() {
-    // The sound deployment of docs/trust-model.md, end to end over real
-    // sockets: clients hold Ed25519 signing keys, the server engine holds
-    // *only the public-key registry* and batch-verifies every SUBMIT at
-    // ingress. Honest traffic is never rejected, the full FAUST layer
-    // (stability, failure detection) behaves exactly as with HMAC keys —
-    // but unlike HMAC, this registry grants the server no forging power.
-    let n = 3;
-    let key_seed = b"tcp-ed25519";
-    let keys = KeySet::generate_ed25519(n, key_seed);
-    let registry = keys.registry();
-    assert!(registry.is_public(), "server-side keys must be public-only");
-
-    let transport = TcpServerTransport::bind("127.0.0.1:0", n).expect("bind loopback");
-    let addr = transport.local_addr();
-    let engine = ServerEngine::new(n, Box::new(UstorServer::new(n)))
-        .with_verification(IngressVerification::Batched(Arc::new(registry)));
-    let engine_thread = spawn_engine_with(engine, transport);
-    let conns: Vec<ClientConn> = (0..n)
-        .map(|i| tcp::connect(addr, c(i as u32)).expect("connect"))
-        .collect();
-
-    let workloads = vec![
-        vec![
-            UserOp::Write(Value::from("pk-1")),
-            UserOp::Write(Value::from("pk-2")),
-        ],
-        vec![UserOp::Read(c(0))],
-        vec![UserOp::Write(Value::from("pk-3")), UserOp::Read(c(0))],
-    ];
-    let config = ThreadedFaustConfig {
-        scheme: SigScheme::Ed25519,
-        ..config()
-    };
-    let report = run_threaded_faust_over(n, workloads, conns, config, key_seed, engine_thread);
-
-    assert!(report.failures.is_empty(), "{:?}", report.failures);
-    assert_eq!(
-        report.engine_stats.rejected, 0,
-        "honest traffic must pass Ed25519 ingress verification"
-    );
-    assert_eq!(report.completions(c(0)), 2);
-    assert_eq!(report.completions(c(1)), 1);
-    assert_eq!(report.completions(c(2)), 2);
-    assert!(report.engine_stats.submits >= 5);
-}
-
+/// Batched SUBMIT verification at ingress serves a TCP deployment
+/// untouched, under both signature schemes.
+///
+/// * Ed25519 is the sound deployment of docs/trust-model.md: clients
+///   hold Ed25519 signing keys, the server engine holds *only the
+///   public-key registry* — which grants it no forging power — and the
+///   full FAUST layer (stability, failure detection) behaves exactly as
+///   with HMAC keys.
+/// * With HMAC keys the same configuration is a benchmarking device, not
+///   a sound deployment.
 #[test]
 fn batched_ingress_verification_serves_tcp_clients() {
-    // The same TCP deployment with the engine's batched SUBMIT
-    // verification enabled over the HMAC fast path: honest traffic is
-    // never rejected and the run behaves identically. (With HMAC keys
-    // this configuration is a benchmarking device, not a sound
-    // deployment — see docs/trust-model.md.)
     let n = 3;
     let key_seed = b"tcp-verified";
-    let keys = KeySet::generate(n, key_seed);
+    for scheme in [SigScheme::Hmac, SigScheme::Ed25519] {
+        let registry = KeySet::generate_with(scheme, n, key_seed).registry();
+        assert_eq!(
+            registry.is_public(),
+            scheme == SigScheme::Ed25519,
+            "only Ed25519 keeps signing keys off the server"
+        );
 
-    let transport = TcpServerTransport::bind("127.0.0.1:0", n).expect("bind loopback");
-    let addr = transport.local_addr();
-    let engine = ServerEngine::new(n, Box::new(UstorServer::new(n)))
-        .with_verification(IngressVerification::Batched(Arc::new(keys.registry())));
-    let engine_thread = spawn_engine_with(engine, transport);
-    let conns: Vec<ClientConn> = (0..n)
-        .map(|i| tcp::connect(addr, c(i as u32)).expect("connect"))
-        .collect();
+        let transport = TcpServerTransport::bind("127.0.0.1:0", n).expect("bind loopback");
+        let addr = transport.local_addr();
+        let engine = ServerEngine::new(n, Box::new(UstorServer::new(n)))
+            .with_verification(IngressVerification::Batched(Arc::new(registry)));
+        let engine_thread = spawn_engine_with(engine, transport);
+        let conns: Vec<ClientConn> = (0..n)
+            .map(|i| tcp::connect(addr, c(i as u32)).expect("connect"))
+            .collect();
 
-    let workloads = vec![
-        vec![
-            UserOp::Write(Value::from("v1")),
-            UserOp::Write(Value::from("v2")),
-        ],
-        vec![UserOp::Read(c(0))],
-        vec![UserOp::Write(Value::from("w1")), UserOp::Read(c(0))],
-    ];
-    let report = run_threaded_faust_over(n, workloads, conns, config(), key_seed, engine_thread);
+        let workloads = vec![
+            vec![
+                UserOp::Write(Value::from("v1")),
+                UserOp::Write(Value::from("v2")),
+            ],
+            vec![UserOp::Read(c(0))],
+            vec![UserOp::Write(Value::from("w1")), UserOp::Read(c(0))],
+        ];
+        let config = ThreadedFaustConfig { scheme, ..config() };
+        let report = run_threaded_faust_over(n, workloads, conns, config, key_seed, engine_thread);
 
-    assert!(report.failures.is_empty(), "{:?}", report.failures);
-    assert_eq!(
-        report.engine_stats.rejected, 0,
-        "honest traffic must pass batched ingress verification"
-    );
-    assert_eq!(report.completions(c(0)), 2);
-    assert_eq!(report.completions(c(1)), 1);
-    assert_eq!(report.completions(c(2)), 2);
+        assert!(
+            report.failures.is_empty(),
+            "{scheme:?}: {:?}",
+            report.failures
+        );
+        assert_eq!(
+            report.engine_stats.rejected, 0,
+            "{scheme:?}: honest traffic must pass batched ingress verification"
+        );
+        assert_eq!(report.completions(c(0)), 2);
+        assert_eq!(report.completions(c(1)), 1);
+        assert_eq!(report.completions(c(2)), 2);
+        assert!(report.engine_stats.submits >= 5);
+    }
 }
